@@ -12,7 +12,6 @@
 #include <shared_mutex>
 #include <sstream>
 #include <thread>
-#include <tuple>
 #include <unordered_set>
 
 #include <chrono>
@@ -75,20 +74,6 @@ bool
 cacheEnabled()
 {
     return std::getenv("DICE_BENCH_NO_CACHE") == nullptr;
-}
-
-/**
- * Reference streams depend only on (workload, seed, cores, capacity,
- * length), never on the L4 organization, so freshly-simulated cells
- * pull their traces from the process-wide TraceArena: a sweep
- * generates each stream once and every organization column replays
- * it. DICE_TRACE_ARENA=0 falls back to live per-cell generation.
- */
-bool
-arenaEnabled()
-{
-    const char *env = std::getenv("DICE_TRACE_ARENA");
-    return env == nullptr || std::string(env) != "0";
 }
 
 std::string
@@ -180,8 +165,8 @@ resultCache()
 }
 
 /** References actually simulated this process (fresh cells only;
- *  cache-loaded cells do no simulation work). Feeds the heartbeat's
- *  refs/sec figure. */
+ *  cache-loaded cells do no simulation work). Feeds the progress
+ *  line's refs/sec figure. */
 std::atomic<std::uint64_t> g_simulated_refs{0};
 
 /** Rendered trace-event args for a cell span. */
@@ -229,7 +214,7 @@ exportCellStats(const System &sys, const std::string &workload,
 }
 
 /**
- * DICE_PROGRESS=1 heartbeat: one line per completed cell with the
+ * DICE_PROGRESS=1 progress line: one line per completed cell with the
  * sweep position, cumulative simulation throughput, and the arena's
  * residency. Serialized by its own mutex so parallel workers never
  * interleave; on a tty the line redraws in place.
@@ -350,9 +335,11 @@ namespace
 // the batch as pure cache loads in canonical order, which makes its
 // stdout, golden digests, and merged document byte-identical to a
 // serial run no matter who computed what or how many times a cell was
-// reclaimed. DICE_SWEEP_STATIC=1 falls back to the legacy static
-// sharding (worker i owns canonical indices ≡ i mod M) for A/B
-// scheduling comparisons.
+// reclaimed.
+//
+// Every participant's only status file is its event journal
+// (src/common/sweep_events.hpp); the coordinator's sweep_summary.json
+// and timeline.json are one fold and one merge over those journals.
 
 /** How this process participates in a sweep (set by initSweepMode). */
 struct SweepMode
@@ -375,15 +362,6 @@ struct SweepMode
      *  back so binary-specific flags survive the respawn). */
     std::vector<std::string> passthrough;
 };
-
-/** DICE_SWEEP_STATIC=1: legacy static index sharding (no stealing). */
-bool
-schedulerIsStatic()
-{
-    const char *env = std::getenv("DICE_SWEEP_STATIC");
-    return env != nullptr && std::strcmp(env, "0") != 0 &&
-           std::strcmp(env, "") != 0;
-}
 
 SweepMode &
 sweepMode()
@@ -435,7 +413,7 @@ registerCells(const std::vector<const SimCell *> &work)
     }
 }
 
-/** Worker-product directory (heartbeats, per-cell docs, summaries). */
+/** Sweep results directory (per-cell docs, leases, journals). */
 std::filesystem::path
 resultsDir()
 {
@@ -564,61 +542,29 @@ resultJson(const std::string &workload, const std::string &org,
     return out;
 }
 
-/** One participant's aggregated scheduling record (across batches). */
-struct ParticipantAgg
+/** Whether this process writes into a sweep results directory: every
+ *  distributed role, and a serial run that sets DICE_SWEEP_RESULTS. */
+bool
+writesSweepResults()
 {
-    std::uint64_t cells = 0;
-    std::uint64_t stolen = 0;
-    std::uint64_t requeued = 0;
-    std::uint64_t busy_ms = 0;
-    std::uint64_t span_ms = 0;
-    unsigned jobs = 1;
-    /** Phase-latency histograms (exact cross-batch merge). */
-    std::array<LogHistogram, kSweepPhases> phases;
-    std::string slowest_cell;
-    std::uint64_t slowest_us = 0;
-};
-
-/** Cross-batch totals of what worker processes reported, plus the
- *  coordinator's own claim-loop work (its arena counters are tracked
- *  by the arena itself). */
-struct SweepTotals
-{
-    std::uint64_t worker_cells = 0;
-    std::uint64_t worker_generations = 0;
-    std::uint64_t worker_disk_hits = 0;
-    std::uint64_t worker_spills = 0;
-    std::uint64_t worker_stolen = 0;
-    std::uint64_t worker_requeued = 0;
-    std::uint64_t worker_busy_ms = 0;
-    /** Σ span × jobs per worker summary (utilization denominator). */
-    std::uint64_t worker_span_jobs_ms = 0;
-    /** Per-participant records keyed by name ("worker0", "join123"). */
-    std::map<std::string, ParticipantAgg> per_worker;
-    ParticipantAgg coordinator;
-};
-
-SweepTotals &
-sweepTotals()
-{
-    static SweepTotals totals;
-    return totals;
+    return sweepMode().role != SweepMode::Role::Serial ||
+           !sweepResultsDir().empty();
 }
 
 /**
- * Open this process's event journal (once) when DICE_SWEEP_EVENTS is
- * set. The participant name matches the role: "coordinator",
- * "worker<i>", "join<pid>", or "serial". The coordinator (or a serial
- * run) owns the results directory, so it clears journals left by a
- * previous run of the same directory first — workers and --join
- * attachers append (a respawned worker's later batches become new
- * segments of the same journal).
+ * Open this process's event journal (once) when it writes into a
+ * results directory. The participant name matches the role:
+ * "coordinator", "worker<i>", "join<pid>", or "serial". The
+ * coordinator (or a serial run) owns the results directory, so it
+ * clears journals left by a previous run of the same directory first
+ * — workers and --join attachers append (a respawned worker's later
+ * batches become new segments of the same journal).
  */
 void
 maybeOpenSweepJournal()
 {
     static bool attempted = false;
-    if (attempted || !sweepEventsEnabled())
+    if (attempted || !writesSweepResults())
         return;
     attempted = true;
     const SweepMode &m = sweepMode();
@@ -657,54 +603,6 @@ maybeOpenSweepJournal()
 }
 
 #ifndef _WIN32
-
-/**
- * One participant's heartbeat: its own progress and steal/requeue
- * counters, rewritten (atomically) after every published cell. Feeds
- * the static-scheduler progress line and post-mortem debugging; the
- * queue scheduler's progress counts published docs directly.
- */
-void
-writeHeartbeat(const std::string &name, unsigned long batch,
-               std::size_t done, std::size_t total,
-               const QueueStats &qs, std::uint64_t busy_ms)
-{
-    HeartbeatRecord hb;
-    hb.batch = batch;
-    hb.done = done;
-    hb.total = total;
-    hb.stolen = qs.stolen;
-    hb.requeued = qs.requeued;
-    hb.busy_ms = busy_ms;
-    atomicWriteFile(resultsDir() / (name + ".heartbeat"),
-                    renderHeartbeat(hb));
-}
-
-/**
- * Sum of all live participant heartbeats for @p batch. Heartbeats are
- * written atomically, so a malformed file is foreign garbage, not a
- * torn write: forEachParticipantFile rejects it with a (once-per-path)
- * warning and removes it — never silently folds it into the totals.
- */
-void
-readHeartbeats(unsigned long batch, std::size_t &done,
-               std::size_t &total)
-{
-    done = total = 0;
-    forEachParticipantFile(
-        resultsDir(), ".heartbeat", /*remove_garbled=*/true,
-        [batch, &done, &total](const std::filesystem::path &,
-                               const std::string &content) {
-            HeartbeatRecord hb;
-            if (!parseHeartbeat(content, hb))
-                return false;
-            if (hb.batch == batch) {
-                done += hb.done;
-                total += hb.total;
-            }
-            return true;
-        });
-}
 
 /** The coordinator's single aggregated progress line (stderr). */
 void
@@ -760,8 +658,7 @@ spawnWorker(unsigned index, unsigned long batch)
     posix_spawn_file_actions_destroy(&fa);
     if (rc != 0) {
         // No special case: the unspawned worker's cells simply stay in
-        // the claim queue for the remaining participants (under the
-        // legacy static scheduler its shard is absorbed at merge).
+        // the claim queue for the remaining participants.
         dice_warn("sweep: cannot spawn worker %u (%s)", index,
                   std::strerror(rc));
         return -1;
@@ -769,120 +666,8 @@ spawnWorker(unsigned index, unsigned long batch)
     return pid;
 }
 
-/** Map a summary-transport hist name back to its SweepPhase slot
- *  (kSweepPhases when unknown — a newer writer's phase). */
-unsigned
-phaseIndexByName(const std::string &name)
-{
-    for (unsigned i = 0; i < kSweepPhases; ++i) {
-        if (name == sweepPhaseName(static_cast<SweepPhase>(i)))
-            return i;
-    }
-    return kSweepPhases;
-}
-
-/**
- * Fold finished participants' summary files into the cross-batch
- * totals (consumed on read so a later batch never double-counts).
- * Summaries are written atomically; anything that fails to parse is
- * foreign garbage, rejected by forEachParticipantFile with a
- * (once-per-path) warning and removed — never silently folded into
- * the totals.
- */
-void
-accumulateWorkerSummaries()
-{
-    SweepTotals &totals = sweepTotals();
-    forEachParticipantFile(
-        resultsDir(), ".summary", /*remove_garbled=*/true,
-        [&totals](const std::filesystem::path &path,
-                  const std::string &content) {
-            SummaryRecord s;
-            if (!parseSummary(content, s))
-                return false;
-            totals.worker_cells += s.cells;
-            totals.worker_generations += s.generations;
-            totals.worker_disk_hits += s.disk_hits;
-            totals.worker_spills += s.spills;
-            totals.worker_stolen += s.stolen;
-            totals.worker_requeued += s.requeued;
-            totals.worker_busy_ms += s.busy_ms;
-            totals.worker_span_jobs_ms += s.span_ms * s.jobs;
-            ParticipantAgg &agg =
-                totals.per_worker[path.stem().string()];
-            agg.cells += s.cells;
-            agg.stolen += s.stolen;
-            agg.requeued += s.requeued;
-            agg.busy_ms += s.busy_ms;
-            agg.span_ms += s.span_ms;
-            agg.jobs = s.jobs;
-            for (const auto &[name, h] : s.hists) {
-                const unsigned p = phaseIndexByName(name);
-                if (p < kSweepPhases)
-                    agg.phases[p].merge(h);
-            }
-            if (s.slowest_us > agg.slowest_us) {
-                agg.slowest_us = s.slowest_us;
-                agg.slowest_cell = s.slowest_cell;
-            }
-            std::error_code ec;
-            std::filesystem::remove(path, ec);
-            return true;
-        });
-}
-
-/**
- * Render one participant's summary file. Arena counters and phase
- * histograms are process-cumulative, so the caller passes the
- * snapshots taken at batch start (@p since / @p phases_since) and the
- * summary reports the deltas — a multi-batch participant (a --join
- * worker) never double-counts across its summaries. The slowest-cell
- * record stays cumulative: it merges by max, which is idempotent.
- */
-std::string
-summaryLine(unsigned long batch, std::uint64_t cells,
-            const QueueStats &qs, std::uint64_t busy_ms,
-            std::uint64_t span_ms, unsigned jobs,
-            const TraceArena::Stats &since,
-            const std::array<LogHistogram, kSweepPhases> &phases_since)
-{
-    const TraceArena::Stats now = TraceArena::instance().stats();
-    SummaryRecord s;
-    s.batch = batch;
-    s.cells = cells;
-    s.stolen = qs.stolen;
-    s.requeued = qs.requeued;
-    s.busy_ms = busy_ms;
-    s.span_ms = span_ms;
-    s.jobs = jobs;
-    s.generations = now.generations - since.generations;
-    s.disk_hits = now.disk_hits - since.disk_hits;
-    s.spills = now.spills - since.spills;
-    const std::array<LogHistogram, kSweepPhases> phases =
-        SweepMetrics::instance().snapshotAll();
-    for (unsigned i = 0; i < kSweepPhases; ++i) {
-        const LogHistogram delta =
-            phases[i].subtracted(phases_since[i]);
-        if (delta.count() > 0)
-            s.hists.emplace_back(
-                sweepPhaseName(static_cast<SweepPhase>(i)), delta);
-    }
-    std::tie(s.slowest_cell, s.slowest_us) =
-        SweepMetrics::instance().slowestCell();
-    return renderSummary(s);
-}
-
 #endif // !_WIN32
 
-/**
- * The machine-readable sweep summary: trace-generation accounting plus
- * the scheduling record (who claimed, stole, and requeued what, and
- * how busy each participant was). Not part of the byte-identical
- * contract — it reports *how* the run executed, which legitimately
- * differs between serial and distributed runs; CI uses it to prove a
- * warm arena rerun generated zero streams and that a skewed sweep
- * actually stole work.
- */
 /** One histogram as a JSON object of its summary statistics. */
 void
 appendHistJson(std::string &out, const LogHistogram &h)
@@ -904,39 +689,32 @@ appendHistJson(std::string &out, const LogHistogram &h)
     out += "}";
 }
 
+/**
+ * The machine-readable sweep summary: trace-generation accounting plus
+ * the scheduling record (who claimed, stole, and requeued what, and
+ * how busy each participant was). Not part of the byte-identical
+ * contract — it reports *how* the run executed, which legitimately
+ * differs between serial and distributed runs; CI uses it to prove a
+ * warm arena rerun generated zero streams and that a skewed sweep
+ * actually stole work.
+ *
+ * Everything per-participant is one fold over the journals
+ * (foldSweepJournals): this process's own journal is the
+ * "coordinator" record, every other journal a worker. The phase
+ * histograms merge exactly (fixed power-of-two bucket edges), so the
+ * percentiles are what one process sampling every cell would report.
+ */
 void
 writeSweepSummary()
 {
-    const TraceArena::Stats arena = TraceArena::instance().stats();
-    const SweepTotals &totals = sweepTotals();
-
-    // Phase latencies merged across every participant: the
-    // coordinator's own in-process histograms plus each worker's
-    // summary-transported deltas. The merge is exact (fixed
-    // power-of-two bucket edges), so these percentiles are what one
-    // process sampling every cell would have reported.
-    std::array<LogHistogram, kSweepPhases> merged =
-        SweepMetrics::instance().snapshotAll();
-    std::string slowest_cell;
-    std::uint64_t slowest_us = 0;
-    std::tie(slowest_cell, slowest_us) =
-        SweepMetrics::instance().slowestCell();
-    for (const auto &[name, agg] : totals.per_worker) {
-        for (unsigned i = 0; i < kSweepPhases; ++i)
-            merged[i].merge(agg.phases[i]);
-        if (agg.slowest_us > slowest_us) {
-            slowest_us = agg.slowest_us;
-            slowest_cell = agg.slowest_cell;
-        }
+    const std::vector<ParticipantFold> folds =
+        foldSweepJournals(resultsDir() / "events");
+    const std::string &self = SweepJournal::instance().participant();
+    ParticipantFold all, own, workers;
+    for (const ParticipantFold &p : folds) {
+        all.merge(p);
+        (p.name == self ? own : workers).merge(p);
     }
-    // busy / (span × jobs): 1.0 means every claim-loop thread
-    // simulated for the participant's whole wall-clock span.
-    const auto utilization = [](std::uint64_t busy_ms,
-                                std::uint64_t span_ms, unsigned jobs) {
-        const double denom =
-            static_cast<double>(span_ms) * static_cast<double>(jobs);
-        return denom > 0.0 ? static_cast<double>(busy_ms) / denom : 0.0;
-    };
 
     std::string out = "{\n \"batches\": ";
     out += std::to_string(g_batch_counter.load());
@@ -946,80 +724,70 @@ writeSweepSummary()
         std::lock_guard lock(reg.mu);
         out += std::to_string(reg.order.size());
     }
-    out += ",\n \"scheduler\": \"";
-    out += schedulerIsStatic() ? "static" : "queue";
-    out += "\",\n \"stolen\": ";
-    out += std::to_string(totals.worker_stolen +
-                          totals.coordinator.stolen);
+    out += ",\n \"scheduler\": \"queue\",\n \"stolen\": ";
+    out += std::to_string(all.stolen);
     out += ",\n \"requeued\": ";
-    out += std::to_string(totals.worker_requeued +
-                          totals.coordinator.requeued);
+    out += std::to_string(all.requeued);
     out += ",\n \"coordinator\": {\"generations\": ";
-    out += std::to_string(arena.generations);
+    out += std::to_string(own.generations);
     out += ", \"disk_hits\": ";
-    out += std::to_string(arena.disk_hits);
+    out += std::to_string(own.disk_hits);
     out += ", \"spills\": ";
-    out += std::to_string(arena.spills);
+    out += std::to_string(own.spills);
     out += ", \"cells\": ";
-    out += std::to_string(totals.coordinator.cells);
+    out += std::to_string(own.cells);
     out += ", \"stolen\": ";
-    out += std::to_string(totals.coordinator.stolen);
+    out += std::to_string(own.stolen);
     out += ", \"requeued\": ";
-    out += std::to_string(totals.coordinator.requeued);
+    out += std::to_string(own.requeued);
     out += ", \"busy_s\": ";
-    appendJsonNumber(out, totals.coordinator.busy_ms / 1000.0);
+    appendJsonNumber(out, own.busy_us / 1e6);
     out += ", \"span_s\": ";
-    appendJsonNumber(out, totals.coordinator.span_ms / 1000.0);
+    appendJsonNumber(out, own.span_us / 1e6);
     out += ", \"utilization\": ";
-    appendJsonNumber(out, utilization(totals.coordinator.busy_ms,
-                                      totals.coordinator.span_ms,
-                                      totals.coordinator.jobs));
+    appendJsonNumber(out, own.utilization());
     out += "},\n \"workers\": {\"cells\": ";
-    out += std::to_string(totals.worker_cells);
+    out += std::to_string(workers.cells);
     out += ", \"generations\": ";
-    out += std::to_string(totals.worker_generations);
+    out += std::to_string(workers.generations);
     out += ", \"disk_hits\": ";
-    out += std::to_string(totals.worker_disk_hits);
+    out += std::to_string(workers.disk_hits);
     out += ", \"spills\": ";
-    out += std::to_string(totals.worker_spills);
+    out += std::to_string(workers.spills);
     out += ", \"stolen\": ";
-    out += std::to_string(totals.worker_stolen);
+    out += std::to_string(workers.stolen);
     out += ", \"requeued\": ";
-    out += std::to_string(totals.worker_requeued);
+    out += std::to_string(workers.requeued);
     out += ", \"busy_s\": ";
-    appendJsonNumber(out, totals.worker_busy_ms / 1000.0);
+    appendJsonNumber(out, workers.busy_us / 1e6);
     out += ", \"utilization\": ";
-    appendJsonNumber(
-        out, totals.worker_span_jobs_ms > 0
-                 ? static_cast<double>(totals.worker_busy_ms) /
-                       static_cast<double>(totals.worker_span_jobs_ms)
-                 : 0.0);
+    appendJsonNumber(out, workers.utilization());
     out += "},\n \"per_worker\": [";
     bool first = true;
-    for (const auto &[name, agg] : totals.per_worker) {
+    for (const ParticipantFold &p : folds) {
+        if (p.name == self)
+            continue;
         out += first ? "\n  " : ",\n  ";
         first = false;
         out += "{\"name\": \"";
-        appendJsonEscaped(out, name);
+        appendJsonEscaped(out, p.name);
         out += "\", \"cells\": ";
-        out += std::to_string(agg.cells);
+        out += std::to_string(p.cells);
         out += ", \"stolen\": ";
-        out += std::to_string(agg.stolen);
+        out += std::to_string(p.stolen);
         out += ", \"requeued\": ";
-        out += std::to_string(agg.requeued);
+        out += std::to_string(p.requeued);
         out += ", \"busy_s\": ";
-        appendJsonNumber(out, agg.busy_ms / 1000.0);
+        appendJsonNumber(out, p.busy_us / 1e6);
         out += ", \"span_s\": ";
-        appendJsonNumber(out, agg.span_ms / 1000.0);
+        appendJsonNumber(out, p.span_us / 1e6);
         out += ", \"jobs\": ";
-        out += std::to_string(agg.jobs);
+        out += std::to_string(p.jobs);
         out += ", \"utilization\": ";
-        appendJsonNumber(
-            out, utilization(agg.busy_ms, agg.span_ms, agg.jobs));
+        appendJsonNumber(out, p.utilization());
         out += ", \"cell_us\": ";
         appendHistJson(out,
-                       agg.phases[static_cast<unsigned>(
-                           SweepPhase::Cell)]);
+                       p.phases[static_cast<unsigned>(SweepPhase::Cell)]);
         out += "}";
     }
     out += first ? "],\n \"phase_latency_us\": {"
@@ -1028,19 +796,17 @@ writeSweepSummary()
         out += i == 0 ? "\n  \"" : ",\n  \"";
         out += sweepPhaseName(static_cast<SweepPhase>(i));
         out += "\": ";
-        appendHistJson(out, merged[i]);
+        appendHistJson(out, all.phases[i]);
     }
     out += "\n },\n \"slowest_cell\": {\"cell\": \"";
-    appendJsonEscaped(out, slowest_cell);
+    appendJsonEscaped(out, all.slowest_cell);
     out += "\", \"us\": ";
-    out += std::to_string(slowest_us);
+    out += std::to_string(all.slowest_us);
     out += "},\n \"warnings\": [";
     {
         const std::vector<std::string> warnings = sweepAnomalyWarnings(
-            merged[static_cast<unsigned>(SweepPhase::Cell)],
-            slowest_cell, slowest_us,
-            totals.worker_requeued + totals.coordinator.requeued,
-            totals.worker_cells + totals.coordinator.cells,
+            all.phases[static_cast<unsigned>(SweepPhase::Cell)],
+            all.slowest_cell, all.slowest_us, all.requeued, all.cells,
             sweepStragglerK());
         bool first_warn = true;
         for (const std::string &w : warnings) {
@@ -1057,7 +823,7 @@ writeSweepSummary()
         out += first_warn ? "]" : "\n ]";
     }
     out += ",\n \"total_generations\": ";
-    out += std::to_string(arena.generations + totals.worker_generations);
+    out += std::to_string(all.generations);
     out += "\n}\n";
     std::error_code ec;
     std::filesystem::create_directories(resultsDir(), ec);
@@ -1095,25 +861,18 @@ writeSweepOutputs()
             dice_warn("sweep: cannot write DICE_SWEEP_MERGED=%s",
                       merged.c_str());
     }
-    if (sweepMode().role == SweepMode::Role::Coordinator ||
-        !sweepResultsDir().empty())
-        writeSweepSummary();
+    if (!writesSweepResults())
+        return;
+    writeSweepSummary();
 
     // Merge every participant's event journal into one Chrome trace
     // after each batch (cheap: journals are small), so the timeline is
     // inspectable mid-sweep and survives a killed coordinator. The
     // standalone bench/sweep_timeline tool re-runs the same merge.
-    if (sweepEventsEnabled()) {
-        const std::string custom = sweepTimelinePath();
-        const std::filesystem::path out_path =
-            custom.empty() ? resultsDir() / "timeline.json"
-                           : std::filesystem::path(custom);
-        std::string error;
-        if (!mergeSweepTimeline(resultsDir() / "events", out_path,
-                                &error))
-            dice_warn("sweep: timeline merge failed: %s",
-                      error.c_str());
-    }
+    std::string error;
+    if (!mergeSweepTimeline(resultsDir() / "events",
+                            resultsDir() / "timeline.json", &error))
+        dice_warn("sweep: timeline merge failed: %s", error.c_str());
 }
 
 /** The classic engine: a benchJobs()-sized in-process thread pool. */
@@ -1140,45 +899,37 @@ runCellsSerial(const std::vector<const SimCell *> &work,
     });
 }
 
-#ifndef _WIN32
-
-/** Milliseconds elapsed since @p t0. */
+/** Microseconds elapsed since @p t0. */
 std::uint64_t
-elapsedMs(std::chrono::steady_clock::time_point t0)
+elapsedUs(std::chrono::steady_clock::time_point t0)
 {
     return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
 }
+
+#ifndef _WIN32
 
 /**
  * One participant's claim loop against @p q, run as @p jobs parallel
  * loops: claim the most expensive unowned cell, simulate it, publish
  * its document, repeat. When nothing is claimable the loop polls until
  * the batch completes — a live peer may still crash and requeue its
- * cells, and those must not be orphaned. @p after_cell runs after
- * every publish with this participant's cumulative busy milliseconds
- * (used for heartbeats/progress). Returns total busy milliseconds.
+ * cells, and those must not be orphaned.
  */
-template <typename AfterCell>
-std::uint64_t
+void
 drainSweepQueue(SweepQueue &q, const std::vector<const SimCell *> &work,
-                unsigned jobs, AfterCell after_cell)
+                unsigned jobs)
 {
-    std::atomic<std::uint64_t> busy_ms{0};
     parallelFor(jobs, jobs, [&](std::size_t) {
         // How long this claim loop has been idle: feeds the
         // claim-wait latency histogram and the journal's claim events
         // (the distributed analogue of run-queue wait).
         auto free_since = std::chrono::steady_clock::now();
         for (;;) {
-            const std::uint64_t wait_us = static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - free_since)
-                    .count());
             const std::optional<std::size_t> idx =
-                q.claimNext(wait_us);
+                q.claimNext(elapsedUs(free_since));
             if (!idx) {
                 if (q.complete())
                     return;
@@ -1187,36 +938,24 @@ drainSweepQueue(SweepQueue &q, const std::vector<const SimCell *> &work,
                 continue;
             }
             const SimCell *c = work[q.cell(*idx).canonical_index];
-            const auto t0 = std::chrono::steady_clock::now();
             const RunResult &r =
                 runWorkload(c->workload, c->config, c->cache_key);
-            const std::uint64_t dt = elapsedMs(t0);
-            const std::uint64_t busy =
-                busy_ms.fetch_add(dt, std::memory_order_relaxed) + dt;
             q.publish(*idx,
                       resultJson(c->workload, c->cache_key, r) + "\n");
-            after_cell(busy);
             free_since = std::chrono::steady_clock::now();
         }
     });
-    return busy_ms.load();
 }
 
 /**
- * Run one batch as a claim-queue participant named @p name whose
- * nominal static shard is @p home_shard of @p shard_count (0 ⇒ no
- * shard; every claim counts as stolen). Heartbeats after every
- * published cell; ends with either a summary file for the coordinator
- * to accumulate or, when @p record is non-null (the coordinator
- * itself), an in-process record — the coordinator's arena counters
- * are already reported directly, so it must not also write a summary
- * that would double-count them.
+ * Run one batch as a claim-queue participant whose nominal static
+ * shard is @p home_shard of @p shard_count (0 ⇒ no shard; every claim
+ * counts as stolen), then journal the batch record that closes it.
  */
 void
 runCellsQueueParticipant(const std::vector<const SimCell *> &work,
-                         unsigned long batch, const std::string &name,
-                         unsigned home_shard, unsigned shard_count,
-                         ParticipantAgg *record = nullptr)
+                         unsigned long batch, unsigned home_shard,
+                         unsigned shard_count)
 {
     std::error_code ec;
     std::filesystem::create_directories(resultsDir(), ec);
@@ -1224,99 +963,16 @@ runCellsQueueParticipant(const std::vector<const SimCell *> &work,
                  shard_count);
     const unsigned jobs = benchJobs();
     const auto t0 = std::chrono::steady_clock::now();
-    const TraceArena::Stats since = TraceArena::instance().stats();
-    const std::array<LogHistogram, kSweepPhases> phases_since =
-        SweepMetrics::instance().snapshotAll();
-    // The summary is rewritten (atomically) after every publish, not
-    // only at the end: completion detection lags the last publish by
-    // a poll interval, and the accumulating coordinator must find the
-    // full record the instant the batch's last document lands — not
-    // lose a race against a --join worker still noticing it is done.
-    const auto write_summary = [&](std::uint64_t busy_ms) {
-        if (record != nullptr)
-            return;
-        const QueueStats qs = q.stats();
-        atomicWriteFile(resultsDir() / (name + ".summary"),
-                        summaryLine(batch, qs.published, qs, busy_ms,
-                                    elapsedMs(t0), jobs, since,
-                                    phases_since));
-    };
-    writeHeartbeat(name, batch, 0, work.size(), QueueStats{}, 0);
-    write_summary(0);
-    const std::uint64_t busy =
-        drainSweepQueue(q, work, jobs, [&](std::uint64_t busy_so_far) {
-            writeHeartbeat(name, batch, q.doneCount(), work.size(),
-                           q.stats(), busy_so_far);
-            write_summary(busy_so_far);
-        });
-    const std::uint64_t span = elapsedMs(t0);
-    const QueueStats qs = q.stats();
-    if (record != nullptr) {
-        record->cells += qs.published;
-        record->stolen += qs.stolen;
-        record->requeued += qs.requeued;
-        record->busy_ms += busy;
-        record->span_ms += span;
-        record->jobs = jobs;
-    } else {
-        write_summary(busy);
-    }
-}
-
-/**
- * Legacy static scheduler (DICE_SWEEP_STATIC=1): the worker owns
- * exactly the canonical indices congruent to its index mod M. Kept as
- * the A/B baseline for scheduling experiments; a crashed worker's
- * shard silently degrades to coordinator-local simulation at merge.
- */
-void
-runCellsWorkerStatic(const std::vector<const SimCell *> &work,
-                     unsigned long batch)
-{
-    const SweepMode &m = sweepMode();
-    std::error_code ec;
-    std::filesystem::create_directories(resultsDir(), ec);
-    std::vector<const SimCell *> mine;
-    for (std::size_t i = m.worker_index; i < work.size();
-         i += m.workers)
-        mine.push_back(work[i]);
-
-    const std::string name = "worker" + std::to_string(m.worker_index);
-    const unsigned jobs = benchJobs();
-    const auto t0 = std::chrono::steady_clock::now();
-    const TraceArena::Stats since = TraceArena::instance().stats();
-    const std::array<LogHistogram, kSweepPhases> phases_since =
-        SweepMetrics::instance().snapshotAll();
-    std::atomic<std::size_t> done{0};
-    std::atomic<std::uint64_t> busy_ms{0};
-    writeHeartbeat(name, batch, 0, mine.size(), QueueStats{}, 0);
-    parallelFor(mine.size(), jobs, [&](std::size_t i) {
-        const SimCell *c = mine[i];
-        const auto c0 = std::chrono::steady_clock::now();
-        const RunResult &r =
-            runWorkload(c->workload, c->config, c->cache_key);
-        const std::uint64_t dt = elapsedMs(c0);
-        const std::uint64_t busy =
-            busy_ms.fetch_add(dt, std::memory_order_relaxed) + dt;
-        atomicWriteFile(SweepQueue::docPath(resultsDir(), cellStem(*c)),
-                        resultJson(c->workload, c->cache_key, r) + "\n");
-        writeHeartbeat(name, batch,
-                       done.fetch_add(1, std::memory_order_relaxed) + 1,
-                       mine.size(), QueueStats{}, busy);
-    });
-    atomicWriteFile(resultsDir() / (name + ".summary"),
-                    summaryLine(batch, mine.size(), QueueStats{},
-                                busy_ms.load(), elapsedMs(t0), jobs,
-                                since, phases_since));
+    drainSweepQueue(q, work, jobs);
+    SweepJournal::instance().batch(batch, work.size(), jobs,
+                                   elapsedUs(t0));
 }
 
 /**
  * Worker role: batches before the target were already merged into the
  * persistent cache by the coordinator, so they replay as loads; the
- * target batch drains the shared claim queue (or, under
- * DICE_SWEEP_STATIC=1, simulates exactly its static shard), then the
- * worker exits before the bench main can print anything or touch
- * later batches.
+ * target batch drains the shared claim queue, then the worker exits
+ * before the bench main can print anything or touch later batches.
  */
 void
 runCellsWorker(const std::vector<const SimCell *> &work,
@@ -1328,79 +984,33 @@ runCellsWorker(const std::vector<const SimCell *> &work,
         return;
     }
 
-    if (schedulerIsStatic())
-        runCellsWorkerStatic(work, batch);
-    else
-        runCellsQueueParticipant(
-            work, batch, "worker" + std::to_string(m.worker_index),
-            m.worker_index, m.workers);
+    runCellsQueueParticipant(work, batch, m.worker_index, m.workers);
     if (TraceLog::instance().enabled())
         TraceLog::instance().flush();
     std::exit(0);
 }
 
 /**
- * Join role (--join DIR): attach to an in-flight sweep's results
- * directory and drain every batch's claim queue alongside the owning
- * coordinator — from this host or any other sharing the filesystem.
- * A join worker is a pure extra pair of hands: it feeds the shared
- * caches, per-cell documents, its heartbeat, and a summary per batch;
- * the sweep's coordinator still owns stdout, the merged document, and
- * the sweep summary.
+ * Coordinator role: reset the batch's cells (documents left by a
+ * previous run must not masquerade as done), spawn M workers, and
+ * monitor the queue. While workers live the coordinator only reaps
+ * and reports progress — a worker that dies abnormally just abandons
+ * its leases, which expire and requeue to the survivors. Only when
+ * *every* worker is gone does the coordinator drain the remainder
+ * itself (also the degenerate path when spawning fails entirely).
+ * Then it merges by replaying the batch as cache loads in canonical
+ * order, which keeps stdout and the merged document byte-identical to
+ * a serial run.
  */
 void
-runCellsJoin(const std::vector<const SimCell *> &work,
-             unsigned long batch)
-{
-    static const std::string name =
-        "join" + std::to_string(claimPid());
-    runCellsQueueParticipant(work, batch, name, 0, 0);
-}
-
-/** Remove every participant heartbeat and summary (batch-start
- *  hygiene: leftovers from a previous batch or run — e.g. a --join
- *  worker's final summary rewrite that landed after the previous
- *  batch was accumulated — must not pollute this batch's progress or
- *  get accumulated twice). */
-void
-removeHeartbeats()
-{
-    std::error_code ec;
-    std::filesystem::directory_iterator it(resultsDir(), ec);
-    if (ec)
-        return;
-    std::vector<std::filesystem::path> stale;
-    for (const auto &entry : it) {
-        const std::filesystem::path ext = entry.path().extension();
-        if (ext == ".heartbeat" || ext == ".summary")
-            stale.push_back(entry.path());
-    }
-    for (const std::filesystem::path &p : stale)
-        std::filesystem::remove(p, ec);
-}
-
-/**
- * Coordinator role, work-stealing scheduler: reset the batch's cells
- * (documents left by a previous run must not masquerade as done),
- * spawn M workers, and monitor the queue. While workers live the
- * coordinator only reaps and reports progress — a worker that dies
- * abnormally just abandons its leases, which expire and requeue to
- * the survivors. Only when *every* worker is gone does the
- * coordinator drain the remainder itself (also the degenerate path
- * when spawning fails entirely). Then it merges by replaying the
- * batch as cache loads in canonical order, which keeps stdout and the
- * merged document byte-identical to a serial run.
- */
-void
-runCellsCoordinatorQueue(const std::vector<const SimCell *> &work,
-                         unsigned long batch)
+runCellsCoordinator(const std::vector<const SimCell *> &work,
+                    unsigned long batch)
 {
     const SweepMode &m = sweepMode();
     std::error_code ec;
     std::filesystem::create_directories(resultsDir() / "leases", ec);
     for (const SimCell *c : work)
         SweepQueue::resetCell(resultsDir(), cellStem(*c));
-    removeHeartbeats();
 
     std::vector<pid_t> pids;
     for (unsigned i = 0; i < m.workers; ++i) {
@@ -1410,12 +1020,9 @@ runCellsCoordinatorQueue(const std::vector<const SimCell *> &work,
     }
 
     SweepQueue q(resultsDir(), queueCellsFor(work), 0, 0);
-    const unsigned jobs = benchJobs();
-    const auto t0 = std::chrono::steady_clock::now();
     const bool progress = progressEnabled();
     std::vector<bool> reaped(pids.size(), false);
     std::size_t alive = pids.size();
-    std::uint64_t busy_ms = 0;
     for (;;) {
         for (std::size_t i = 0; i < pids.size(); ++i) {
             if (reaped[i])
@@ -1439,13 +1046,7 @@ runCellsCoordinatorQueue(const std::vector<const SimCell *> &work,
             // Every worker is gone (crashed, or never spawned): the
             // coordinator claims and simulates what remains. Expired
             // leases of the dead are broken inside claimNext.
-            busy_ms += drainSweepQueue(
-                q, work, jobs, [&](std::uint64_t) {
-                    if (progress)
-                        printSweepProgress(batch, q.doneCount(),
-                                           work.size(), m.workers, 0,
-                                           false);
-                });
+            drainSweepQueue(q, work, benchJobs());
         } else {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(100));
@@ -1462,85 +1063,8 @@ runCellsCoordinatorQueue(const std::vector<const SimCell *> &work,
         printSweepProgress(batch, work.size(), work.size(), m.workers,
                            0, true);
 
-    const QueueStats qs = q.stats();
-    SweepTotals &totals = sweepTotals();
-    totals.coordinator.cells += qs.published;
-    totals.coordinator.stolen += qs.stolen;
-    totals.coordinator.requeued += qs.requeued;
-    totals.coordinator.busy_ms += busy_ms;
-    totals.coordinator.span_ms += elapsedMs(t0);
-    totals.coordinator.jobs = jobs;
-
     for (const SimCell *c : work)
         runWorkload(c->workload, c->config, c->cache_key);
-    accumulateWorkerSummaries();
-}
-
-/**
- * Coordinator role, legacy static scheduler (DICE_SWEEP_STATIC=1):
- * shard the batch across M re-spawned workers, wait on them while
- * aggregating their heartbeats into one progress line, then merge by
- * replaying the batch as cache loads in canonical order (simulating
- * locally anything a worker failed to publish).
- */
-void
-runCellsCoordinatorStatic(const std::vector<const SimCell *> &work,
-                          unsigned long batch)
-{
-    const SweepMode &m = sweepMode();
-    std::error_code ec;
-    std::filesystem::create_directories(resultsDir(), ec);
-    removeHeartbeats();
-
-    std::vector<pid_t> pids;
-    for (unsigned i = 0; i < m.workers; ++i) {
-        const pid_t pid = spawnWorker(i, batch);
-        if (pid > 0)
-            pids.push_back(pid);
-    }
-
-    const bool progress = progressEnabled();
-    std::vector<bool> reaped(pids.size(), false);
-    std::size_t alive = pids.size();
-    while (alive > 0) {
-        for (std::size_t i = 0; i < pids.size(); ++i) {
-            if (reaped[i])
-                continue;
-            int status = 0;
-            if (waitpid(pids[i], &status, WNOHANG) == pids[i]) {
-                reaped[i] = true;
-                --alive;
-                if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
-                    dice_warn("sweep: worker %zu died; its shard falls "
-                              "back to the coordinator",
-                              i);
-            }
-        }
-        if (progress) {
-            std::size_t done = 0, total = 0;
-            readHeartbeats(batch, done, total);
-            printSweepProgress(batch, done,
-                               total != 0 ? total : work.size(),
-                               m.workers, alive, alive == 0);
-        }
-        if (alive > 0)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(100));
-    }
-
-    for (const SimCell *c : work)
-        runWorkload(c->workload, c->config, c->cache_key);
-    accumulateWorkerSummaries();
-}
-
-void
-runCellsCoordinator(const std::vector<const SimCell *> &work,
-                    unsigned long batch)
-{
-    if (schedulerIsStatic())
-        runCellsCoordinatorStatic(work, batch);
-    else
-        runCellsCoordinatorQueue(work, batch);
 }
 
 #endif // !_WIN32
@@ -1696,19 +1220,11 @@ runWorkload(const std::string &workload, const SystemConfig &config,
     }
     if (!loaded) {
         // The per-cell announcement honors DICE_LOG_LEVEL=quiet and
-        // yields to the heartbeat line when DICE_PROGRESS is set.
+        // yields to the progress line when DICE_PROGRESS is set.
         if (logLevel() >= LogLevel::Warn && !progressEnabled()) {
             std::fprintf(stderr, "[sim] %s / %s ...\n", workload.c_str(),
                          cache_key.c_str());
         }
-        const auto usSince =
-            [](std::chrono::steady_clock::time_point t) {
-                return static_cast<std::uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - t)
-                        .count());
-            };
         const std::string stem =
             sanitizeFileStem(workload + "_" + cache_key);
         SweepJournal &jr = SweepJournal::instance();
@@ -1721,8 +1237,12 @@ runWorkload(const std::string &workload, const SystemConfig &config,
                             cellArgsJson(workload, cache_key));
         std::vector<WorkloadProfile> profiles =
             workloadProfiles(workload, config.num_cores);
+        // Reference streams depend only on (workload, seed, cores,
+        // capacity, length), never on the L4 organization: the
+        // process-wide TraceArena generates each stream once and every
+        // organization column replays it.
         std::shared_ptr<const TraceSet> replay;
-        if (arenaEnabled()) {
+        {
             const auto gen_t0 = std::chrono::steady_clock::now();
             const std::uint64_t gen_m0 =
                 jr.enabled() ? jr.monoUs() : 0;
@@ -1736,7 +1256,7 @@ runWorkload(const std::string &workload, const SystemConfig &config,
                 config.reference_capacity,
                 config.warmup_refs_per_core + config.refs_per_core + 1,
                 profiles, benchJobs());
-            const std::uint64_t gen_us = usSince(gen_t0);
+            const std::uint64_t gen_us = elapsedUs(gen_t0);
             sm.sample(SweepPhase::Generate, gen_us);
             if (jr.enabled())
                 jr.phase("generate", stem, gen_m0, gen_us);
@@ -1750,7 +1270,7 @@ runWorkload(const std::string &workload, const SystemConfig &config,
                 jr.begin("simulate", stem);
             TraceSpan sim_span("simulate", workload + "/" + cache_key);
             computed = sys.run();
-            const std::uint64_t sim_us = usSince(sim_t0);
+            const std::uint64_t sim_us = elapsedUs(sim_t0);
             sm.sample(SweepPhase::Simulate, sim_us);
             if (jr.enabled())
                 jr.phase("simulate", stem, sim_m0, sim_us);
@@ -1760,13 +1280,13 @@ runWorkload(const std::string &workload, const SystemConfig &config,
             const std::uint64_t exp_m0 =
                 jr.enabled() ? jr.monoUs() : 0;
             exportCellStats(sys, workload, cache_key);
-            const std::uint64_t exp_us = usSince(exp_t0);
+            const std::uint64_t exp_us = elapsedUs(exp_t0);
             sm.sample(SweepPhase::Export, exp_us);
             if (jr.enabled())
                 jr.phase("export", stem, exp_m0, exp_us);
         }
-        const std::uint64_t cell_us = usSince(cell_t0);
-        sm.noteCell(stem, cell_us);
+        const std::uint64_t cell_us = elapsedUs(cell_t0);
+        sm.sample(SweepPhase::Cell, cell_us);
         if (jr.enabled())
             jr.phase("cell", stem, cell_m0, cell_us);
         g_simulated_refs.fetch_add(
@@ -1908,16 +1428,18 @@ runCells(const std::vector<SimCell> &cells)
     const unsigned long batch = g_batch_counter.fetch_add(1);
     maybeOpenSweepJournal();
 
-    const SweepMode &m = sweepMode();
+    const auto t0 = std::chrono::steady_clock::now();
 #ifndef _WIN32
+    const SweepMode &m = sweepMode();
     if (m.role == SweepMode::Role::Worker) {
         runCellsWorker(work, batch); // exits after its target batch
         return;
     }
     if (m.role == SweepMode::Role::Join) {
-        // The owning coordinator writes the merged document and the
-        // sweep summary; a join worker only feeds the queue.
-        runCellsJoin(work, batch);
+        // A join worker is a pure extra pair of hands: it feeds the
+        // shared caches, per-cell documents, and its journal; the
+        // owning coordinator writes the merged document and summary.
+        runCellsQueueParticipant(work, batch, 0, 0);
         return;
     }
     if (m.role == SweepMode::Role::Coordinator)
@@ -1925,9 +1447,10 @@ runCells(const std::vector<SimCell> &cells)
     else
         runCellsSerial(work, /*progress_allowed=*/true);
 #else
-    (void)batch;
     runCellsSerial(work, /*progress_allowed=*/true);
 #endif
+    SweepJournal::instance().batch(batch, work.size(), benchJobs(),
+                                   elapsedUs(t0));
     writeSweepOutputs();
 }
 

@@ -20,15 +20,14 @@
  * Freshly-simulated cells draw their reference streams from the
  * process-wide TraceArena: each (workload, seed) stream is generated
  * once per sweep and replayed bit-identically by every organization
- * column (DICE_TRACE_ARENA=0 disables; DICE_TRACE_ARENA_BYTES bounds
- * resident stream memory).
+ * column (DICE_TRACE_ARENA_BYTES bounds resident stream memory).
  *
  * Observability (all off by default; see README "Telemetry"):
  *  - DICE_STATS_JSON / DICE_STATS_CSV: per-cell stat-registry export
  *    into the named directory, one document per fresh cell.
  *  - DICE_TRACE_OUT: Chrome trace-event JSON of per-worker cell
  *    generate/simulate spans (view in Perfetto).
- *  - DICE_PROGRESS=1: heartbeat line with cells done/total, refs/sec,
+ *  - DICE_PROGRESS=1: progress line with cells done/total, refs/sec,
  *    and trace-arena residency.
  */
 
@@ -127,21 +126,22 @@ unsigned benchJobs();
  *                suppressed — the coordinator renders the figure.
  *
  * Related environment: DICE_SWEEP_RESULTS overrides the results
- * directory, DICE_SWEEP_MERGED names a canonical merged JSON document
- * written (serially or distributed) after every batch,
+ * directory (and makes a serial run write one too),
+ * DICE_SWEEP_MERGED names a canonical merged JSON document written
+ * (serially or distributed) after every batch, and
  * DICE_SWEEP_LEASE_STALE_S (default 30) is the lease staleness
- * threshold for requeueing a dead holder's cells, and
- * DICE_SWEEP_STATIC=1 reverts to the legacy static index-mod-M
- * sharding (no stealing) for A/B comparison. Every distributed batch
- * leaves <results>/sweep_summary.json describing how it executed:
- * scheduler, total stolen/requeued, per-participant cells, busy/span
- * seconds, utilization, trace-arena counters, merged per-phase
- * latency percentiles (phase_latency_us), the slowest cell, and
- * anomaly warnings (straggler threshold DICE_SWEEP_STRAGGLER_K,
- * default 4 x p90). DICE_SWEEP_EVENTS=1 additionally journals every
- * participant's events to <results>/events/*.jsonl and merges them
- * into a Chrome trace at <results>/timeline.json (override with
- * DICE_SWEEP_TIMELINE); see README "Sweep observability".
+ * threshold for requeueing a dead holder's cells.
+ *
+ * Every process that writes a results directory journals its events
+ * to <results>/events/<participant>.jsonl — its only status file.
+ * After every batch the owning process (coordinator, or serial run)
+ * folds all journals into <results>/sweep_summary.json — total
+ * stolen/requeued, per-participant cells, busy/span seconds,
+ * utilization, trace-arena counters, merged per-phase latency
+ * percentiles (phase_latency_us), the slowest cell, and anomaly
+ * warnings (straggler threshold DICE_SWEEP_STRAGGLER_K, default
+ * 4 x p90) — and merges them into a Chrome trace at
+ * <results>/timeline.json; see README "Sweep observability".
  */
 void initSweepMode(int argc, char **argv);
 

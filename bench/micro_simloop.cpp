@@ -485,26 +485,28 @@ runCheck()
     }
     std::printf("  OK\n");
 
-    // Sweep-journal hot-path hooks: with no journal open (the
-    // DICE_SWEEP_EVENTS-off default) every emitter must early-return
-    // before touching the heap, so instrumenting the per-cell loop is
-    // free for ordinary bench runs. Hard zero, not a budget.
+    // Sweep-journal hot-path hooks: with no journal open (every
+    // process that writes no sweep results directory, such as this
+    // one) every emitter must early-return before touching the heap,
+    // so instrumenting the per-cell loop is free for ordinary bench
+    // runs. Hard zero, not a budget.
     {
         dice::SweepJournal &journal = dice::SweepJournal::instance();
         const std::string cell = "mcf_dice";
         const std::size_t start =
             g_heap_allocs.load(std::memory_order_relaxed);
         for (int i = 0; i < 10'000; ++i) {
-            journal.claim(cell, false, false, 7);
+            journal.claim(cell, false, false, 7, 2);
             journal.begin("simulate", cell);
             journal.phase("simulate", cell, 0, 42);
             journal.lease("refresh", cell, 3);
             journal.arena("disk_hit", cell);
             journal.publish(cell);
+            journal.batch(1, 40, 4, 900);
         }
         const std::size_t hook_allocs =
             g_heap_allocs.load(std::memory_order_relaxed) - start;
-        std::printf("  disabled journal hooks: %zu allocs across 60k "
+        std::printf("  disabled journal hooks: %zu allocs across 70k "
                     "emits (budget 0)\n",
                     hook_allocs);
         if (hook_allocs != 0) {

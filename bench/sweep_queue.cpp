@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iterator>
-#include <sstream>
-#include <unordered_set>
+#include <utility>
 
 #include "common/claim_file.hpp"
 #include "common/log.hpp"
@@ -179,6 +175,17 @@ SweepQueue::claimNext(std::uint64_t wait_us)
             if (attempt == ClaimAttempt::Busy)
                 continue;
         }
+        // The document check above ran before the lease was ours: a
+        // holder that finished in between wrote its document and then
+        // released the lease we just took. Recheck under the lease,
+        // or the finished cell is simulated and published twice.
+        if (attempt == ClaimAttempt::Acquired &&
+            std::filesystem::exists(docPath(results_dir_, c.stem))) {
+            std::error_code ec;
+            std::filesystem::remove(lease, ec);
+            markDoneLocked(idx);
+            continue;
+        }
         // Acquired — or Error (unclaimable results dir: read-only or
         // no O_EXCL). On Error every participant degrades to claiming
         // everything in-process; they duplicate work but each still
@@ -192,11 +199,12 @@ SweepQueue::claimNext(std::uint64_t wait_us)
             c.canonical_index % shard_count_ != home_shard_;
         if (stolen)
             ++stats_.stolen;
+        const std::uint64_t acquire_us = elapsedUs(acquire_t0);
         SweepMetrics::instance().sample(SweepPhase::LeaseAcquire,
-                                        elapsedUs(acquire_t0));
+                                        acquire_us);
         SweepMetrics::instance().sample(SweepPhase::ClaimWait, wait_us);
         SweepJournal::instance().claim(c.stem, stolen, via_requeue,
-                                       wait_us);
+                                       wait_us, acquire_us);
         return idx;
     }
     return std::nullopt;
@@ -276,163 +284,6 @@ SweepQueue::refresherLoop()
                                                cells_[i].stem, us);
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Participant heartbeat / summary files.
-
-std::string
-renderHeartbeat(const HeartbeatRecord &hb)
-{
-    char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  "batch %lu done %zu total %zu stolen %llu requeued "
-                  "%llu busy_ms %llu\n",
-                  hb.batch, hb.done, hb.total,
-                  static_cast<unsigned long long>(hb.stolen),
-                  static_cast<unsigned long long>(hb.requeued),
-                  static_cast<unsigned long long>(hb.busy_ms));
-    return buf;
-}
-
-bool
-parseHeartbeat(const std::string &content, HeartbeatRecord &out)
-{
-    out = HeartbeatRecord{};
-    unsigned long long stolen = 0, requeued = 0, busy = 0;
-    if (std::sscanf(content.c_str(),
-                    "batch %lu done %zu total %zu stolen %llu "
-                    "requeued %llu busy_ms %llu",
-                    &out.batch, &out.done, &out.total, &stolen,
-                    &requeued, &busy) != 6 ||
-        out.done > out.total)
-        return false;
-    out.stolen = stolen;
-    out.requeued = requeued;
-    out.busy_ms = busy;
-    return true;
-}
-
-std::string
-renderSummary(const SummaryRecord &s)
-{
-    char buf[256];
-    std::snprintf(
-        buf, sizeof buf,
-        "batch %lu cells %llu stolen %llu requeued %llu busy_ms %llu "
-        "span_ms %llu jobs %u generations %llu disk_hits %llu "
-        "spills %llu\n",
-        s.batch, static_cast<unsigned long long>(s.cells),
-        static_cast<unsigned long long>(s.stolen),
-        static_cast<unsigned long long>(s.requeued),
-        static_cast<unsigned long long>(s.busy_ms),
-        static_cast<unsigned long long>(s.span_ms), s.jobs,
-        static_cast<unsigned long long>(s.generations),
-        static_cast<unsigned long long>(s.disk_hits),
-        static_cast<unsigned long long>(s.spills));
-    std::string out = buf;
-    for (const auto &[name, h] : s.hists)
-        appendHistText(out, name, h);
-    if (!s.slowest_cell.empty()) {
-        out += "slowest " + s.slowest_cell + " " +
-               std::to_string(s.slowest_us) + "\n";
-    }
-    return out;
-}
-
-bool
-parseSummary(const std::string &content, SummaryRecord &out)
-{
-    out = SummaryRecord{};
-    std::istringstream in(content);
-    std::string line;
-    if (!std::getline(in, line))
-        return false;
-    unsigned long long cells = 0, stolen = 0, requeued = 0;
-    unsigned long long busy = 0, span = 0;
-    unsigned long long gens = 0, disk = 0, spills = 0;
-    if (std::sscanf(line.c_str(),
-                    "batch %lu cells %llu stolen %llu requeued "
-                    "%llu busy_ms %llu span_ms %llu jobs %u "
-                    "generations %llu disk_hits %llu spills %llu",
-                    &out.batch, &cells, &stolen, &requeued, &busy,
-                    &span, &out.jobs, &gens, &disk, &spills) != 10 ||
-        out.jobs == 0)
-        return false;
-    out.cells = cells;
-    out.stolen = stolen;
-    out.requeued = requeued;
-    out.busy_ms = busy;
-    out.span_ms = span;
-    out.generations = gens;
-    out.disk_hits = disk;
-    out.spills = spills;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        if (line.rfind("hist ", 0) == 0) {
-            std::string name;
-            LogHistogram h;
-            // A hist line that fails to parse fails the whole
-            // summary: the file kinds are written atomically, so this
-            // is garbage, and half-accumulating it would skew totals.
-            if (!parseHistLine(line, name, h))
-                return false;
-            out.hists.emplace_back(std::move(name), h);
-        } else if (line.rfind("slowest ", 0) == 0) {
-            std::istringstream sl(line);
-            std::string tag;
-            if (!(sl >> tag >> out.slowest_cell >> out.slowest_us))
-                return false;
-        }
-        // Unknown lines: a newer writer; ignore.
-    }
-    return true;
-}
-
-void
-forEachParticipantFile(
-    const std::filesystem::path &dir, const std::string &extension,
-    bool remove_garbled,
-    const std::function<bool(const std::filesystem::path &path,
-                             const std::string &content)> &consume)
-{
-    std::error_code ec;
-    std::filesystem::directory_iterator it(dir, ec);
-    if (ec)
-        return;
-    std::vector<std::filesystem::path> files;
-    for (const auto &entry : it) {
-        if (entry.path().extension() == extension)
-            files.push_back(entry.path());
-    }
-    std::sort(files.begin(), files.end());
-    for (const std::filesystem::path &path : files) {
-        std::ifstream in(path);
-        if (!in)
-            continue;
-        std::string content((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-        if (consume(path, content))
-            continue;
-        // Warn once per path per process: pollers (progress loops,
-        // sweep_top) revisit the same directory several times a
-        // second, and one foreign file must not flood stderr.
-        static std::mutex warned_mu;
-        static std::unordered_set<std::string> warned;
-        bool fresh = false;
-        {
-            std::lock_guard lock(warned_mu);
-            fresh = warned.insert(path.string()).second;
-        }
-        if (fresh) {
-            dice_warn("sweep: %s garbled participant file %s",
-                      remove_garbled ? "removing" : "ignoring",
-                      path.string().c_str());
-        }
-        if (remove_garbled)
-            std::filesystem::remove(path, ec);
     }
 }
 

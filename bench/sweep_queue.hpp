@@ -51,15 +51,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/sweep_events.hpp"
 
 namespace dice::bench
@@ -198,74 +195,6 @@ class SweepQueue
     bool stop_ = false;
     std::thread refresher_;
 };
-
-// ---------------------------------------------------------------------
-// Participant heartbeat / summary files.
-//
-// Both are tiny text files atomically rewritten by each participant
-// under the shared results directory; render* and parse* below are the
-// one definition of their format, shared by the harness (writer and
-// accumulator) and by read-only tools (bench/sweep_top).
-
-/** One participant's heartbeat ("<name>.heartbeat"): its own progress
- *  and steal/requeue counters, rewritten after every published cell. */
-struct HeartbeatRecord
-{
-    unsigned long batch = 0;
-    std::size_t done = 0;
-    std::size_t total = 0;
-    std::uint64_t stolen = 0;
-    std::uint64_t requeued = 0;
-    std::uint64_t busy_ms = 0;
-};
-
-std::string renderHeartbeat(const HeartbeatRecord &hb);
-bool parseHeartbeat(const std::string &content, HeartbeatRecord &out);
-
-/**
- * One participant's batch summary ("<name>.summary"). Line 1 is the
- * legacy counters line; subsequent lines carry the participant's
- * phase-latency histograms ("hist <name> ...", exact-merge transport —
- * see appendHistText) and its slowest cell ("slowest <stem> <us>").
- * Unknown trailing lines are ignored so older readers survive newer
- * writers.
- */
-struct SummaryRecord
-{
-    unsigned long batch = 0;
-    std::uint64_t cells = 0;
-    std::uint64_t stolen = 0;
-    std::uint64_t requeued = 0;
-    std::uint64_t busy_ms = 0;
-    std::uint64_t span_ms = 0;
-    unsigned jobs = 1;
-    std::uint64_t generations = 0;
-    std::uint64_t disk_hits = 0;
-    std::uint64_t spills = 0;
-    /** (phase name, histogram) pairs, e.g. ("cell_us", ...). */
-    std::vector<std::pair<std::string, LogHistogram>> hists;
-    std::string slowest_cell;
-    std::uint64_t slowest_us = 0;
-};
-
-std::string renderSummary(const SummaryRecord &s);
-bool parseSummary(const std::string &content, SummaryRecord &out);
-
-/**
- * Read every "*<extension>" file directly under @p dir and hand its
- * (path, content) to @p consume. A file @p consume rejects (returns
- * false) is foreign garbage, not a torn write — both file kinds are
- * published atomically — so it is warned about (once per path per
- * process, not once per poll) and, when @p remove_garbled, removed so
- * it can never be silently folded into totals. The one shared
- * read-parse-warn-remove loop behind heartbeat aggregation, summary
- * accumulation, and the read-only status tools.
- */
-void forEachParticipantFile(
-    const std::filesystem::path &dir, const std::string &extension,
-    bool remove_garbled,
-    const std::function<bool(const std::filesystem::path &path,
-                             const std::string &content)> &consume);
 
 } // namespace dice::bench
 

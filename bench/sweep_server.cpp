@@ -15,9 +15,10 @@
  * queue (see bench/sweep_queue.hpp); --join RESULTS_DIR attaches this
  * process — from this host or any other sharing the filesystem — to
  * an in-flight sweep's queue as an extra worker (pass the same
- * --sweep/--workloads/--refs so it enumerates the same cells).
- * DICE_SWEEP_STATIC=1 selects the legacy static index sharding for
- * scheduler A/B comparisons.
+ * --sweep/--workloads/--refs so it enumerates the same cells). Every
+ * participant journals its events under <results>/events/, and the
+ * coordinator folds them into <results>/sweep_summary.json and
+ * <results>/timeline.json (see bench/harness.hpp).
  *
  * Flags (besides the --serve/--worker/--batch/--join sweep flags):
  *   --sweep NAME      Organization set: "fig10" (base/tsi/bai/dice/

@@ -5,11 +5,11 @@
  * Usage: sweep_timeline <results_dir> [out.json]
  *
  * Reads every participant event journal under <results_dir>/events
- * (written when a sweep runs with DICE_SWEEP_EVENTS=1) and merges them
- * into one Chrome trace-event document — a lane per participant,
- * clocks aligned across processes/hosts — at out.json (default:
- * <results_dir>/timeline.json). Load the output in chrome://tracing or
- * https://ui.perfetto.dev.
+ * (every process that writes a sweep results directory keeps one) and
+ * merges them into one Chrome trace-event document — a lane per
+ * participant, clocks aligned across processes/hosts — at out.json
+ * (default: <results_dir>/timeline.json). Load the output in
+ * chrome://tracing or https://ui.perfetto.dev.
  *
  * The sweep coordinator runs the same merge automatically after every
  * batch; this tool exists for post-mortems (the coordinator died, or

@@ -6,26 +6,25 @@
  *
  * Renders, refreshed in place on a tty (or once with --once, for CI
  * and scripts):
- *  - overall batch progress, queue depth, publish rate, and an ETA
- *    estimated from the rate of appearing per-cell documents;
- *  - one row per participant: published progress, steal/requeue
- *    counts, busy time, and — when the sweep runs with
- *    DICE_SWEEP_EVENTS=1 — the cell currently in flight with its
- *    elapsed phase, straight from the participant's event journal.
+ *  - the per-cell documents published so far, the publish rate, and
+ *    the batches closed;
+ *  - one row per participant: cells published, steal/requeue counts,
+ *    busy time, utilization over its closed batches, and the cell
+ *    currently in flight with its phase and elapsed time.
+ *
+ * Everything per-participant is the same journal fold
+ * (foldSweepJournals over <results_dir>/events) the coordinator folds
+ * into sweep_summary.json.
  *
  * Strictly read-only: it never removes, rewrites, or locks anything
  * under the results directory, so it is safe to point at a sweep
- * owned by another user or another host. Garbled files are ignored
- * (warned once), never removed — that hygiene belongs to the
- * coordinator.
+ * owned by another user or another host.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,18 +33,12 @@
 #include <unistd.h>
 #endif
 
-#include "sweep_queue.hpp"
-
 #include "common/sweep_events.hpp"
 
 namespace
 {
 
-using dice::JournalEvent;
-using dice::ParticipantJournal;
-using dice::bench::forEachParticipantFile;
-using dice::bench::HeartbeatRecord;
-using dice::bench::parseHeartbeat;
+using dice::ParticipantFold;
 
 std::uint64_t
 nowWallUs()
@@ -54,45 +47,6 @@ nowWallUs()
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::system_clock::now().time_since_epoch())
             .count());
-}
-
-/** What a participant's journal says it is doing right now. */
-struct InFlight
-{
-    std::string cell;
-    std::string phase;   ///< Deepest begun phase of that cell.
-    std::uint64_t since_wall_us = 0;
-};
-
-/**
- * The last segment's unfinished cell, if any: the latest "begin cell"
- * with no later publish or completed "cell" phase for the same cell.
- * A crashed worker's journal reports its final cell forever — which
- * is exactly the post-mortem one wants to see.
- */
-bool
-inFlightOf(const ParticipantJournal &p, InFlight &out)
-{
-    const int last_seg = static_cast<int>(p.segments.size()) - 1;
-    bool active = false;
-    for (const JournalEvent &e : p.events) {
-        if (e.segment != last_seg)
-            continue;
-        if (e.ev == "begin" && e.phase == "cell") {
-            out.cell = e.cell;
-            out.phase = "cell";
-            out.since_wall_us = e.wall_us;
-            active = true;
-        } else if (active && e.ev == "begin" && e.cell == out.cell) {
-            out.phase = e.phase;
-        } else if (active &&
-                   (e.ev == "publish" ||
-                    (e.ev == "phase" && e.phase == "cell")) &&
-                   e.cell == out.cell) {
-            active = false;
-        }
-    }
-    return active;
 }
 
 std::string
@@ -108,123 +62,70 @@ humanSeconds(double s)
     return buf;
 }
 
-struct Snapshot
+/** Published per-cell documents (<stem>.cell.json) under @p dir. */
+std::size_t
+countDocs(const std::filesystem::path &dir)
 {
-    unsigned long batch = 0;
-    std::size_t done = 0;
-    std::size_t total = 0;
+    static const std::string suffix = ".cell.json";
     std::size_t docs = 0;
-    std::map<std::string, HeartbeatRecord> participants;
-    std::map<std::string, InFlight> in_flight;
-};
-
-Snapshot
-collect(const std::filesystem::path &results_dir)
-{
-    Snapshot snap;
-    // Heartbeats: each participant's is a view of the same batch, and
-    // under the queue scheduler its "done" already counts everyone's
-    // published documents; take the freshest batch and its max.
-    forEachParticipantFile(
-        results_dir, ".heartbeat", /*remove_garbled=*/false,
-        [&snap](const std::filesystem::path &path,
-                const std::string &content) {
-            HeartbeatRecord hb;
-            if (!parseHeartbeat(content, hb))
-                return false;
-            snap.participants[path.stem().string()] = hb;
-            if (hb.batch > snap.batch) {
-                snap.batch = hb.batch;
-                snap.done = 0;
-                snap.total = 0;
-            }
-            if (hb.batch == snap.batch) {
-                snap.done = std::max(snap.done, hb.done);
-                snap.total = std::max(snap.total, hb.total);
-            }
-            return true;
-        });
-
     std::error_code ec;
-    std::filesystem::directory_iterator it(results_dir, ec);
-    if (!ec) {
-        for (const auto &entry : it) {
-            if (entry.path().string().size() > 10 &&
-                entry.path().string().rfind(".cell.json") ==
-                    entry.path().string().size() - 10)
-                ++snap.docs;
-        }
+    for (std::filesystem::directory_iterator it(dir, ec), end;
+         !ec && it != end; it.increment(ec)) {
+        const std::string name = it->path().filename().string();
+        if (name.size() > suffix.size() &&
+            name.compare(name.size() - suffix.size(), suffix.size(),
+                         suffix) == 0)
+            ++docs;
     }
-
-    // Event journals (optional): in-flight cells with elapsed phase.
-    std::filesystem::directory_iterator jt(results_dir / "events", ec);
-    if (!ec) {
-        for (const auto &entry : jt) {
-            if (entry.path().extension() != ".jsonl")
-                continue;
-            ParticipantJournal p;
-            if (!dice::readJournal(entry.path(), p))
-                continue;
-            InFlight fl;
-            if (inFlightOf(p, fl))
-                snap.in_flight[p.name] = fl;
-        }
-    }
-    return snap;
+    return docs;
 }
 
 void
-render(const Snapshot &snap, double elapsed_s, std::size_t docs_at_start,
-       bool clear)
+render(const std::vector<ParticipantFold> &folds, std::size_t docs,
+       double rate, bool clear)
 {
     if (clear)
         std::printf("\033[H\033[2J");
 
-    const std::size_t done = std::max(snap.done, snap.docs);
-    const double rate =
-        elapsed_s > 0.0
-            ? static_cast<double>(snap.docs - docs_at_start) / elapsed_s
-            : 0.0;
-    std::printf("[sweep_top] batch %lu: %zu/%zu cells published",
-                snap.batch, done, snap.total);
-    if (snap.total > done && rate > 0.0) {
-        std::printf(" | %.2f cells/s | ETA %s", rate,
-                    humanSeconds(static_cast<double>(snap.total - done) /
-                                 rate)
-                        .c_str());
+    // The participant that closed the most batches (the coordinator,
+    // once it has one) speaks for the sweep's batch progress.
+    std::uint64_t batches = 0, batch_cells = 0;
+    for (const ParticipantFold &p : folds) {
+        if (p.batches > batches) {
+            batches = p.batches;
+            batch_cells = p.batch_cells;
+        }
     }
-    std::printf("\n\n%-14s %8s %8s %8s %8s  %s\n", "participant",
-                "done", "stolen", "requeue", "busy", "in flight");
+    std::printf("[sweep_top] %zu cells published", docs);
+    if (rate > 0.0)
+        std::printf(" | %.2f cells/s", rate);
+    std::printf(" | %llu batches closed (%llu cells)\n\n",
+                static_cast<unsigned long long>(batches),
+                static_cast<unsigned long long>(batch_cells));
+    std::printf("%-14s %8s %8s %8s %8s %6s  %s\n", "participant",
+                "cells", "stolen", "requeue", "busy", "util",
+                "in flight");
 
     const std::uint64_t now_us = nowWallUs();
-    for (const auto &[name, hb] : snap.participants) {
+    for (const ParticipantFold &p : folds) {
         std::string flight = "-";
-        const auto fl = snap.in_flight.find(name);
-        if (fl != snap.in_flight.end()) {
+        if (!p.in_flight_cell.empty()) {
             const double for_s =
-                now_us > fl->second.since_wall_us
+                now_us > p.in_flight_since_wall_us
                     ? static_cast<double>(now_us -
-                                          fl->second.since_wall_us) /
+                                          p.in_flight_since_wall_us) /
                           1e6
                     : 0.0;
-            flight = fl->second.cell + " (" + fl->second.phase + ", " +
-                     humanSeconds(for_s) + ")";
+            flight = p.in_flight_cell + " (" + p.in_flight_phase +
+                     ", " + humanSeconds(for_s) + ")";
         }
-        std::printf("%-14s %8zu %8llu %8llu %8s  %s\n", name.c_str(),
-                    hb.done,
-                    static_cast<unsigned long long>(hb.stolen),
-                    static_cast<unsigned long long>(hb.requeued),
-                    humanSeconds(hb.busy_ms / 1000.0).c_str(),
-                    flight.c_str());
-    }
-    // Journal-only participants (heartbeat not yet written, or a
-    // joiner that died before its first publish).
-    for (const auto &[name, fl] : snap.in_flight) {
-        if (snap.participants.count(name) != 0)
-            continue;
-        std::printf("%-14s %8s %8s %8s %8s  %s (%s)\n", name.c_str(),
-                    "?", "?", "?", "?", fl.cell.c_str(),
-                    fl.phase.c_str());
+        std::printf("%-14s %8llu %8llu %8llu %8s %6.2f  %s\n",
+                    p.name.c_str(),
+                    static_cast<unsigned long long>(p.cells),
+                    static_cast<unsigned long long>(p.stolen),
+                    static_cast<unsigned long long>(p.requeued),
+                    humanSeconds(p.busy_us / 1e6).c_str(),
+                    p.utilization(), flight.c_str());
     }
     std::fflush(stdout);
 }
@@ -275,14 +176,19 @@ main(int argc, char **argv)
     const bool tty = isatty(fileno(stdout)) != 0;
 #endif
     const auto t0 = std::chrono::steady_clock::now();
-    const std::size_t docs_at_start = collect(results_dir).docs;
+    const std::size_t docs_at_start = countDocs(results_dir);
     for (;;) {
-        const Snapshot snap = collect(results_dir);
+        const std::size_t docs = countDocs(results_dir);
         const double elapsed =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - t0)
                 .count();
-        render(snap, elapsed, docs_at_start, tty && !once);
+        const double rate =
+            elapsed > 0.0 && docs > docs_at_start
+                ? static_cast<double>(docs - docs_at_start) / elapsed
+                : 0.0;
+        render(dice::foldSweepJournals(results_dir / "events"), docs,
+               rate, tty && !once);
         if (once)
             return 0;
         std::this_thread::sleep_for(

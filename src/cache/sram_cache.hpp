@@ -1,6 +1,6 @@
 /**
  * @file
- * Set-associative SRAM cache model used for the on-chip L1/L2/L3 levels.
+ * Set-associative SRAM cache model used for the shared on-chip L3.
  *
  * The model is functional + statistical: it tracks tag/valid/dirty/LRU
  * state and a 64-bit payload per line (the workload "data version", used

@@ -41,89 +41,6 @@ StatGroup::collect() const
     return rows;
 }
 
-namespace
-{
-
-/**
- * Shared quantile estimator: walk @p bucket_count buckets whose
- * cumulative counts locate the rank q*count, then interpolate
- * linearly between bucket(i)'s [lo, hi) edges and clamp to the
- * observed [clamp_lo, clamp_hi].
- */
-double
-bucketPercentile(double q, std::uint64_t count,
-                 std::uint32_t bucket_count,
-                 const std::function<std::uint64_t(std::uint32_t)> &bucket,
-                 const std::function<double(std::uint32_t)> &lo,
-                 const std::function<double(std::uint32_t)> &hi,
-                 double clamp_lo, double clamp_hi)
-{
-    if (count == 0)
-        return 0.0;
-    q = std::min(1.0, std::max(0.0, q));
-    const double target = q * static_cast<double>(count);
-    double cum = 0.0;
-    for (std::uint32_t i = 0; i < bucket_count; ++i) {
-        const std::uint64_t c = bucket(i);
-        if (c == 0)
-            continue;
-        cum += static_cast<double>(c);
-        if (cum >= target) {
-            double frac =
-                1.0 - (cum - target) / static_cast<double>(c);
-            frac = std::min(1.0, std::max(0.0, frac));
-            const double v = lo(i) + frac * (hi(i) - lo(i));
-            return std::min(clamp_hi, std::max(clamp_lo, v));
-        }
-    }
-    return clamp_hi;
-}
-
-/** The shared "<name>.*" histogram entry family (see addHistogram). */
-template <typename H>
-void
-addHistogramEntries(StatGroup &g, const std::string &stat_name,
-                    const H &h,
-                    const std::function<double(std::uint32_t)> &lo,
-                    const std::function<double(std::uint32_t)> &hi,
-                    std::uint32_t bucket_count)
-{
-    const auto freeze = [&g, &stat_name](const char *suffix, double v) {
-        g.addFormula(stat_name + "." + suffix, [v] { return v; });
-    };
-    freeze("count", static_cast<double>(h.count()));
-    freeze("sum", static_cast<double>(h.sum()));
-    freeze("mean", h.mean());
-    freeze("max", static_cast<double>(h.max()));
-    freeze("p50", h.percentile(0.50));
-    freeze("p90", h.percentile(0.90));
-    freeze("p99", h.percentile(0.99));
-    for (std::uint32_t i = 0; i < bucket_count; ++i) {
-        const std::uint64_t c = h.bucket(i);
-        if (c == 0)
-            continue;
-        const std::string prefix =
-            stat_name + ".bucket" + std::to_string(i);
-        g.addFormula(prefix + ".lo", [v = lo(i)] { return v; });
-        g.addFormula(prefix + ".hi", [v = hi(i)] { return v; });
-        g.addFormula(prefix + ".count",
-                     [v = static_cast<double>(c)] { return v; });
-    }
-}
-
-} // namespace
-
-double
-Histogram::percentile(double q) const
-{
-    return bucketPercentile(
-        q, count_, numBuckets(),
-        [this](std::uint32_t i) { return buckets_[i]; },
-        [this](std::uint32_t i) { return bucketLoEdge(i); },
-        [this](std::uint32_t i) { return bucketHiEdge(i); },
-        0.0, static_cast<double>(max_));
-}
-
 void
 LogHistogram::merge(const LogHistogram &other)
 {
@@ -152,63 +69,70 @@ LogHistogram::subtracted(const LogHistogram &since) const
     return out;
 }
 
-LogHistogram
-LogHistogram::fromParts(
-    const std::array<std::uint64_t, kBuckets> &buckets,
-    std::uint64_t sum, std::uint64_t max, std::uint64_t min)
-{
-    LogHistogram out;
-    out.buckets_ = buckets;
-    out.sum_ = sum;
-    out.count_ = 0;
-    for (const std::uint64_t c : buckets)
-        out.count_ += c;
-    out.max_ = max;
-    out.min_ = out.count_ == 0 ? ~std::uint64_t{0} : min;
-    return out;
-}
-
 double
 LogHistogram::percentile(double q) const
 {
-    return bucketPercentile(
-        q, count_, kBuckets,
-        [this](std::uint32_t i) { return buckets_[i]; },
-        [](std::uint32_t i) {
-            return static_cast<double>(bucketLo(i));
-        },
-        [this](std::uint32_t i) {
-            // Clamp the top bucket to the observed max (its nominal
-            // edge 2^64 would dominate any interpolation).
-            return std::min(static_cast<double>(bucketHi(i)),
-                            static_cast<double>(max_));
-        },
-        static_cast<double>(min()), static_cast<double>(max_));
-}
-
-void
-StatGroup::addHistogram(const std::string &stat_name, const Histogram &h)
-{
-    addHistogramEntries(
-        *this, stat_name, h,
-        [&h](std::uint32_t i) { return h.bucketLoEdge(i); },
-        [&h](std::uint32_t i) { return h.bucketHiEdge(i); },
-        h.numBuckets());
+    if (count_ == 0)
+        return 0.0;
+    // Walk the cumulative bucket counts to the rank q*count, then
+    // interpolate linearly between that bucket's [lo, hi) edges; the
+    // top edge is clamped to the observed max (the nominal 2^64 would
+    // dominate any interpolation).
+    q = std::min(1.0, std::max(0.0, q));
+    const double target = q * static_cast<double>(count_);
+    const double lo_clamp = static_cast<double>(min());
+    const double hi_clamp = static_cast<double>(max_);
+    double cum = 0.0;
+    for (std::uint32_t i = 0; i < kBuckets; ++i) {
+        const std::uint64_t c = buckets_[i];
+        if (c == 0)
+            continue;
+        cum += static_cast<double>(c);
+        if (cum >= target) {
+            double frac =
+                1.0 - (cum - target) / static_cast<double>(c);
+            frac = std::min(1.0, std::max(0.0, frac));
+            const double lo = static_cast<double>(bucketLo(i));
+            const double hi =
+                std::min(static_cast<double>(bucketHi(i)), hi_clamp);
+            const double v = lo + frac * (hi - lo);
+            return std::min(hi_clamp, std::max(lo_clamp, v));
+        }
+    }
+    return hi_clamp;
 }
 
 void
 StatGroup::addLogHistogram(const std::string &stat_name,
                            const LogHistogram &h)
 {
-    addHistogramEntries(
-        *this, stat_name, h,
-        [](std::uint32_t i) {
-            return static_cast<double>(LogHistogram::bucketLo(i));
-        },
-        [](std::uint32_t i) {
-            return static_cast<double>(LogHistogram::bucketHi(i));
-        },
-        LogHistogram::kBuckets);
+    const auto freeze = [this, &stat_name](const char *suffix, double v) {
+        addFormula(stat_name + "." + suffix, [v] { return v; });
+    };
+    freeze("count", static_cast<double>(h.count()));
+    freeze("sum", static_cast<double>(h.sum()));
+    freeze("mean", h.mean());
+    freeze("max", static_cast<double>(h.max()));
+    freeze("p50", h.percentile(0.50));
+    freeze("p90", h.percentile(0.90));
+    freeze("p99", h.percentile(0.99));
+    for (std::uint32_t i = 0; i < LogHistogram::kBuckets; ++i) {
+        const std::uint64_t c = h.bucket(i);
+        if (c == 0)
+            continue;
+        const std::string prefix =
+            stat_name + ".bucket" + std::to_string(i);
+        addFormula(prefix + ".lo",
+                   [v = static_cast<double>(LogHistogram::bucketLo(i))] {
+                       return v;
+                   });
+        addFormula(prefix + ".hi",
+                   [v = static_cast<double>(LogHistogram::bucketHi(i))] {
+                       return v;
+                   });
+        addFormula(prefix + ".count",
+                   [v = static_cast<double>(c)] { return v; });
+    }
 }
 
 void

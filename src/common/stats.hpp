@@ -5,13 +5,13 @@
  * Subsystems expose their counters through a StatGroup so that tests,
  * examples, and the benchmark harness can enumerate and print them
  * uniformly. The design is a deliberately small subset of the gem5 stats
- * package: scalars, formulas (lazy ratios), and fixed-bucket histograms.
+ * package: scalars, formulas (lazy ratios), and mergeable log-bucketed
+ * histograms.
  */
 
 #ifndef DICE_COMMON_STATS_HPP
 #define DICE_COMMON_STATS_HPP
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -54,99 +54,6 @@ class Counter
 
   private:
     std::uint64_t value_ = 0;
-};
-
-/** Histogram with fixed-width buckets plus an overflow bucket. */
-class Histogram
-{
-  public:
-    /**
-     * @param n_buckets Number of regular buckets.
-     * @param bucket_width Width of each bucket in sample units.
-     */
-    explicit Histogram(std::uint32_t n_buckets = 16,
-                       std::uint64_t bucket_width = 1)
-        : width_(bucket_width), buckets_(n_buckets + 1, 0)
-    {
-        // sample() divides by the width; a zero width would fault on
-        // the first sample, far from the misconfiguration.
-        dice_assert(bucket_width > 0, "Histogram bucket_width must be > 0");
-    }
-
-    /** Record one sample. */
-    void
-    sample(std::uint64_t v)
-    {
-        const std::uint64_t idx = v / width_;
-        const std::uint64_t cap = buckets_.size() - 1;
-        ++buckets_[idx < cap ? idx : cap];
-        sum_ += v;
-        ++count_;
-        if (v > max_)
-            max_ = v;
-    }
-
-    std::uint64_t count() const { return count_; }
-    std::uint64_t sum() const { return sum_; }
-    std::uint64_t max() const { return max_; }
-
-    /** Mean of all samples (0 when empty). */
-    double
-    mean() const
-    {
-        return count_ == 0 ? 0.0
-                           : static_cast<double>(sum_) /
-                                 static_cast<double>(count_);
-    }
-
-    /** Count in bucket @p i (the last bucket is the overflow bucket). */
-    std::uint64_t bucket(std::uint32_t i) const { return buckets_.at(i); }
-
-    /** Inclusive lower edge of bucket @p i. */
-    double
-    bucketLoEdge(std::uint32_t i) const
-    {
-        return static_cast<double>(width_) * i;
-    }
-
-    /** Exclusive upper edge of bucket @p i. The overflow bucket's
-     *  true edge is unbounded; the observed max is its tightest
-     *  honest stand-in. */
-    double
-    bucketHiEdge(std::uint32_t i) const
-    {
-        if (i + 1 >= numBuckets())
-            return std::max(bucketLoEdge(i),
-                            static_cast<double>(max_));
-        return static_cast<double>(width_) * (i + 1);
-    }
-
-    std::uint32_t
-    numBuckets() const
-    {
-        return static_cast<std::uint32_t>(buckets_.size());
-    }
-
-    void
-    reset()
-    {
-        std::fill(buckets_.begin(), buckets_.end(), 0);
-        sum_ = count_ = max_ = 0;
-    }
-
-    /**
-     * Quantile estimate (q in [0, 1]) by linear interpolation inside
-     * the bucket containing the rank, clamped to [0, max()]. 0 when
-     * empty.
-     */
-    double percentile(double q) const;
-
-  private:
-    std::uint64_t width_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t sum_ = 0;
-    std::uint64_t count_ = 0;
-    std::uint64_t max_ = 0;
 };
 
 /**
@@ -253,12 +160,6 @@ class LogHistogram
 
     void reset() { *this = LogHistogram{}; }
 
-    /** Rebuild from serialized parts (cross-process transport);
-     *  count is the sum of @p buckets. */
-    static LogHistogram
-    fromParts(const std::array<std::uint64_t, kBuckets> &buckets,
-              std::uint64_t sum, std::uint64_t max, std::uint64_t min);
-
   private:
     std::array<std::uint64_t, kBuckets> buckets_{};
     std::uint64_t sum_ = 0;
@@ -306,10 +207,6 @@ class StatGroup
      * fresh group always carries current values) and freezing keeps
      * the export race-free against concurrent samplers.
      */
-    void addHistogram(const std::string &stat_name, const Histogram &h);
-
-    /** addHistogram for a LogHistogram (same entry family, same
-     *  frozen-at-registration semantics). */
     void addLogHistogram(const std::string &stat_name,
                          const LogHistogram &h);
 

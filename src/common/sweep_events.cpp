@@ -6,7 +6,8 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
+#include <map>
+#include <utility>
 
 #include "common/claim_file.hpp"
 #include "common/log.hpp"
@@ -68,17 +69,6 @@ SweepMetrics::sample(SweepPhase p, std::uint64_t us)
     hists_[static_cast<unsigned>(p)].sample(us);
 }
 
-void
-SweepMetrics::noteCell(const std::string &cell, std::uint64_t us)
-{
-    std::lock_guard lock(mu_);
-    hists_[static_cast<unsigned>(SweepPhase::Cell)].sample(us);
-    if (us > slowest_us_) {
-        slowest_us_ = us;
-        slowest_cell_ = cell;
-    }
-}
-
 LogHistogram
 SweepMetrics::snapshot(SweepPhase p) const
 {
@@ -86,24 +76,14 @@ SweepMetrics::snapshot(SweepPhase p) const
     return hists_[static_cast<unsigned>(p)];
 }
 
-std::array<LogHistogram, kSweepPhases>
-SweepMetrics::snapshotAll() const
-{
-    std::lock_guard lock(mu_);
-    return hists_;
-}
-
-std::pair<std::string, std::uint64_t>
-SweepMetrics::slowestCell() const
-{
-    std::lock_guard lock(mu_);
-    return {slowest_cell_, slowest_us_};
-}
-
 StatGroup
 SweepMetrics::statGroup() const
 {
-    const std::array<LogHistogram, kSweepPhases> hists = snapshotAll();
+    std::array<LogHistogram, kSweepPhases> hists;
+    {
+        std::lock_guard lock(mu_);
+        hists = hists_;
+    }
     StatGroup g("sweep");
     for (unsigned i = 0; i < kSweepPhases; ++i) {
         g.addLogHistogram(sweepPhaseName(static_cast<SweepPhase>(i)),
@@ -118,8 +98,6 @@ SweepMetrics::resetForTest()
     std::lock_guard lock(mu_);
     for (LogHistogram &h : hists_)
         h.reset();
-    slowest_cell_.clear();
-    slowest_us_ = 0;
 }
 
 // ---------------------------------------------------------------------
@@ -218,7 +196,7 @@ SweepJournal::mark(const char *name, const std::string &detail)
 
 void
 SweepJournal::claim(const std::string &cell, bool stolen, bool requeued,
-                    std::uint64_t wait_us)
+                    std::uint64_t wait_us, std::uint64_t acquire_us)
 {
     if (!enabled())
         return;
@@ -226,9 +204,10 @@ SweepJournal::claim(const std::string &cell, bool stolen, bool requeued,
     std::snprintf(buf, sizeof buf,
                   "{\"ev\":\"claim\",\"cell\":\"%s\",\"stolen\":%d,"
                   "\"requeued\":%d,\"wait_us\":%" PRIu64
-                  ",\"wall_us\":%" PRIu64 ",\"mono_us\":%" PRIu64 "}\n",
+                  ",\"acquire_us\":%" PRIu64 ",\"wall_us\":%" PRIu64
+                  ",\"mono_us\":%" PRIu64 "}\n",
                   cell.c_str(), stolen ? 1 : 0, requeued ? 1 : 0,
-                  wait_us, wallMicroseconds(), monoUs());
+                  wait_us, acquire_us, wallMicroseconds(), monoUs());
     writeRecord(buf);
 }
 
@@ -300,6 +279,22 @@ SweepJournal::arena(const char *op, const std::string &key)
                   "{\"ev\":\"arena\",\"op\":\"%s\",\"key\":\"%s\","
                   "\"wall_us\":%" PRIu64 ",\"mono_us\":%" PRIu64 "}\n",
                   op, key.c_str(), wallMicroseconds(), monoUs());
+    writeRecord(buf);
+}
+
+void
+SweepJournal::batch(unsigned long batch, std::size_t cells,
+                    unsigned jobs, std::uint64_t span_us)
+{
+    if (!enabled())
+        return;
+    char buf[512];
+    std::snprintf(buf, sizeof buf,
+                  "{\"ev\":\"batch\",\"batch\":%lu,\"cells\":%zu,"
+                  "\"jobs\":%u,\"span_us\":%" PRIu64
+                  ",\"wall_us\":%" PRIu64 ",\"mono_us\":%" PRIu64 "}\n",
+                  batch, cells, jobs, span_us, wallMicroseconds(),
+                  monoUs());
     writeRecord(buf);
 }
 
@@ -444,6 +439,16 @@ parseJournalLine(const std::string &line, JournalEvent &out)
             out.dur_us = toU64(value);
         else if (key == "wait_us")
             out.wait_us = toU64(value);
+        else if (key == "acquire_us")
+            out.acquire_us = toU64(value);
+        else if (key == "batch")
+            out.batch = toU64(value);
+        else if (key == "cells")
+            out.cells = toU64(value);
+        else if (key == "jobs")
+            out.jobs = toU64(value);
+        else if (key == "span_us")
+            out.span_us = toU64(value);
         else if (key == "pid")
             out.pid = std::strtol(value.c_str(), nullptr, 10);
         else if (key == "stolen")
@@ -498,6 +503,158 @@ readJournal(const std::filesystem::path &path, ParticipantJournal &out,
         return false;
     }
     return true;
+}
+
+std::vector<ParticipantJournal>
+readJournals(const std::filesystem::path &events_dir)
+{
+    std::vector<std::filesystem::path> files;
+    std::error_code ec;
+    for (std::filesystem::directory_iterator it(events_dir, ec), end;
+         !ec && it != end; it.increment(ec)) {
+        if (it->path().extension() == ".jsonl")
+            files.push_back(it->path());
+    }
+    std::sort(files.begin(), files.end());
+    std::vector<ParticipantJournal> journals;
+    for (const std::filesystem::path &f : files) {
+        ParticipantJournal p;
+        if (readJournal(f, p))
+            journals.push_back(std::move(p));
+    }
+    return journals;
+}
+
+// ---------------------------------------------------------------------
+// The fold.
+
+namespace
+{
+
+/** Phase records the fold histograms, by their journal phase name. */
+constexpr std::pair<const char *, SweepPhase> kPhaseRecords[] = {
+    {"generate", SweepPhase::Generate},
+    {"simulate", SweepPhase::Simulate},
+    {"export", SweepPhase::Export},
+    {"cell", SweepPhase::Cell},
+};
+
+} // namespace
+
+double
+ParticipantFold::utilization() const
+{
+    return span_jobs_us > 0 ? static_cast<double>(batch_busy_us) /
+                                  static_cast<double>(span_jobs_us)
+                            : 0.0;
+}
+
+void
+ParticipantFold::merge(const ParticipantFold &other)
+{
+    cells += other.cells;
+    stolen += other.stolen;
+    requeued += other.requeued;
+    busy_us += other.busy_us;
+    batch_busy_us += other.batch_busy_us;
+    batches += other.batches;
+    batch_cells += other.batch_cells;
+    span_us += other.span_us;
+    span_jobs_us += other.span_jobs_us;
+    generations += other.generations;
+    disk_hits += other.disk_hits;
+    spills += other.spills;
+    for (unsigned i = 0; i < kSweepPhases; ++i)
+        phases[i].merge(other.phases[i]);
+    if (other.slowest_us > slowest_us) {
+        slowest_us = other.slowest_us;
+        slowest_cell = other.slowest_cell;
+    }
+}
+
+ParticipantFold
+foldJournal(const ParticipantJournal &journal)
+{
+    ParticipantFold f;
+    f.name = journal.name;
+    const auto hist = [&f](SweepPhase p) -> LogHistogram & {
+        return f.phases[static_cast<unsigned>(p)];
+    };
+    const int last_segment = static_cast<int>(journal.segments.size()) - 1;
+    // Busy time since the segment's last batch record: it joins the
+    // utilization numerator only once a batch record closes it.
+    std::uint64_t open_busy_us = 0;
+    int segment = 0;
+    for (const JournalEvent &e : journal.events) {
+        if (e.segment != segment) {
+            segment = e.segment;
+            open_busy_us = 0;
+        }
+        if (e.ev == "claim") {
+            f.stolen += e.stolen ? 1 : 0;
+            f.requeued += e.requeued ? 1 : 0;
+            hist(SweepPhase::ClaimWait).sample(e.wait_us);
+            hist(SweepPhase::LeaseAcquire).sample(e.acquire_us);
+        } else if (e.ev == "publish") {
+            ++f.cells;
+        } else if (e.ev == "phase") {
+            for (const auto &[name, p] : kPhaseRecords) {
+                if (e.phase == name)
+                    hist(p).sample(e.dur_us);
+            }
+            if (e.phase == "cell") {
+                f.busy_us += e.dur_us;
+                open_busy_us += e.dur_us;
+                if (e.dur_us > f.slowest_us) {
+                    f.slowest_us = e.dur_us;
+                    f.slowest_cell = e.cell;
+                }
+            }
+        } else if (e.ev == "lease" && e.op == "refresh") {
+            hist(SweepPhase::LeaseRefresh).sample(e.dur_us);
+        } else if (e.ev == "arena") {
+            f.generations += e.op == "generate" ? 1 : 0;
+            f.disk_hits += e.op == "disk_hit" ? 1 : 0;
+            f.spills += e.op == "spill" ? 1 : 0;
+        } else if (e.ev == "batch") {
+            ++f.batches;
+            f.batch_cells += e.cells;
+            f.span_us += e.span_us;
+            f.span_jobs_us += e.span_us * e.jobs;
+            f.jobs = static_cast<unsigned>(e.jobs);
+            f.batch_busy_us += open_busy_us;
+            open_busy_us = 0;
+        }
+
+        // In-flight cell of the last segment (the live process).
+        if (e.segment != last_segment)
+            continue;
+        if (e.ev == "begin" && e.phase == "cell") {
+            f.in_flight_cell = e.cell;
+            f.in_flight_phase = "cell";
+            f.in_flight_since_wall_us = e.wall_us;
+        } else if (e.cell == f.in_flight_cell &&
+                   !f.in_flight_cell.empty()) {
+            if (e.ev == "begin") {
+                f.in_flight_phase = e.phase;
+            } else if (e.ev == "publish" ||
+                       (e.ev == "phase" && e.phase == "cell")) {
+                f.in_flight_cell.clear();
+                f.in_flight_phase.clear();
+                f.in_flight_since_wall_us = 0;
+            }
+        }
+    }
+    return f;
+}
+
+std::vector<ParticipantFold>
+foldSweepJournals(const std::filesystem::path &events_dir)
+{
+    std::vector<ParticipantFold> folds;
+    for (const ParticipantJournal &j : readJournals(events_dir))
+        folds.push_back(foldJournal(j));
+    return folds;
 }
 
 // ---------------------------------------------------------------------
@@ -667,25 +824,7 @@ mergeSweepTimeline(const std::filesystem::path &events_dir,
                    const std::filesystem::path &out_path,
                    std::string *error, TimelineStats *stats)
 {
-    std::error_code ec;
-    std::vector<std::filesystem::path> files;
-    std::filesystem::directory_iterator it(events_dir, ec);
-    if (ec) {
-        if (error != nullptr)
-            *error = "cannot list " + events_dir.string();
-        return false;
-    }
-    for (const auto &entry : it) {
-        if (entry.path().extension() == ".jsonl")
-            files.push_back(entry.path());
-    }
-    std::sort(files.begin(), files.end());
-    std::vector<ParticipantJournal> journals;
-    for (const std::filesystem::path &f : files) {
-        ParticipantJournal p;
-        if (readJournal(f, p))
-            journals.push_back(std::move(p));
-    }
+    std::vector<ParticipantJournal> journals = readJournals(events_dir);
     if (journals.empty()) {
         if (error != nullptr)
             *error = "no readable journals under " +
@@ -769,7 +908,7 @@ mergeSweepTimeline(const std::filesystem::path &events_dir,
                 appendTraceEvent(out, first, e.name.c_str(), "sweep",
                                  "i", ts, j, args);
             } else {
-                continue; // begin/unknown: live-status only
+                continue; // begin/batch/unknown: status-fold only
             }
             ++n_events;
         }
@@ -789,83 +928,7 @@ mergeSweepTimeline(const std::filesystem::path &events_dir,
 }
 
 // ---------------------------------------------------------------------
-// Histogram transport + anomaly detection.
-
-void
-appendHistText(std::string &out, const std::string &name,
-               const LogHistogram &h)
-{
-    out += "hist ";
-    out += name;
-    out += " count " + std::to_string(h.count());
-    out += " sum " + std::to_string(h.sum());
-    out += " max " + std::to_string(h.max());
-    out += " min " + std::to_string(h.min());
-    out += " buckets ";
-    bool first = true;
-    for (std::uint32_t i = 0; i < LogHistogram::kBuckets; ++i) {
-        const std::uint64_t c = h.bucket(i);
-        if (c == 0)
-            continue;
-        if (!first)
-            out += ',';
-        first = false;
-        out += std::to_string(i) + ":" + std::to_string(c);
-    }
-    if (first)
-        out += '-'; // empty histogram placeholder
-    out += '\n';
-}
-
-bool
-parseHistLine(const std::string &line, std::string &name,
-              LogHistogram &out)
-{
-    std::istringstream in(line);
-    std::string tag, word;
-    std::uint64_t count = 0, sum = 0, max = 0, min = 0;
-    std::string buckets_text;
-    if (!(in >> tag >> name) || tag != "hist")
-        return false;
-    if (!(in >> word >> count) || word != "count")
-        return false;
-    if (!(in >> word >> sum) || word != "sum")
-        return false;
-    if (!(in >> word >> max) || word != "max")
-        return false;
-    if (!(in >> word >> min) || word != "min")
-        return false;
-    if (!(in >> word >> buckets_text) || word != "buckets")
-        return false;
-
-    std::array<std::uint64_t, LogHistogram::kBuckets> buckets{};
-    std::uint64_t seen = 0;
-    if (buckets_text != "-") {
-        const char *p = buckets_text.c_str();
-        while (*p != '\0') {
-            char *end = nullptr;
-            const unsigned long idx = std::strtoul(p, &end, 10);
-            if (end == p || *end != ':' ||
-                idx >= LogHistogram::kBuckets)
-                return false;
-            p = end + 1;
-            const std::uint64_t c = std::strtoull(p, &end, 10);
-            if (end == p)
-                return false;
-            buckets[idx] += c;
-            seen += c;
-            p = end;
-            if (*p == ',')
-                ++p;
-            else if (*p != '\0')
-                return false;
-        }
-    }
-    if (seen != count)
-        return false; // torn/garbled line
-    out = LogHistogram::fromParts(buckets, sum, max, min);
-    return true;
-}
+// Anomaly detection.
 
 std::vector<std::string>
 sweepAnomalyWarnings(const LogHistogram &cell_us,
@@ -875,7 +938,7 @@ sweepAnomalyWarnings(const LogHistogram &cell_us,
 {
     std::vector<std::string> warnings;
     char buf[256];
-    // Straggler: the slowest cell is far out on the batch's own
+    // Straggler: the slowest cell is far out on the sweep's own
     // latency distribution. Needs a minimum population — with 3 cells
     // the "p90" is just the max and everything self-flags.
     if (cell_us.count() >= 4 && slowest_us > 0) {

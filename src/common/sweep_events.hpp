@@ -1,19 +1,21 @@
 /**
  * @file
  * Distributed sweep observability: per-participant event journals,
+ * the one fold over them that every status consumer shares,
  * process-wide phase-latency metrics, and the cross-participant
  * timeline merge.
  *
  * A multi-process (possibly multi-host) sweep has no shared memory,
- * so every participant — coordinator, spawned `--worker`s, `--join`
- * attachers, or a plain serial run — appends structured events to its
- * own journal `<results>/events/<participant>.jsonl`:
+ * so every process that writes into a sweep results directory — the
+ * `--serve` coordinator, spawned `--worker`s, `--join` attachers, and
+ * a serial run that sets DICE_SWEEP_RESULTS — appends structured
+ * events to its own journal `<results>/events/<participant>.jsonl`:
  *
  *   {"ev":"epoch","participant":..,"pid":..,"host":..,
  *    "wall_us":..,"mono_us":..}            first record per process
  *   {"ev":"mark","name":..,"detail":..,...}    e.g. worker spawns
  *   {"ev":"claim","cell":..,"stolen":0|1,"requeued":0|1,
- *    "wait_us":..,...}                     queue claim (requeued=1:
+ *    "wait_us":..,"acquire_us":..,...}     queue claim (requeued=1:
  *                                          acquired by breaking a
  *                                          dead holder's lease)
  *   {"ev":"begin","phase":..,"cell":..,...}    phase entry (lets a
@@ -25,6 +27,15 @@
  *   {"ev":"lease","op":"refresh"|"break"|"release","cell":..,
  *    "dur_us":..,...}
  *   {"ev":"arena","op":"disk_hit"|"generate"|"spill","key":..,...}
+ *   {"ev":"batch","batch":..,"cells":..,"jobs":..,"span_us":..,...}
+ *                                          end of one runCells batch
+ *                                          this participant worked on
+ *
+ * The journal is the participant's only status file. foldJournal()
+ * turns it into the participant's record — cells, steals, requeues,
+ * busy time, utilization, arena traffic, phase histograms, slowest
+ * cell, in-flight cell — and the coordinator's sweep_summary.json,
+ * bench/sweep_top, and the tests all read that one fold.
  *
  * Every record carries both clocks: "wall_us" (system clock, for
  * humans and cross-host sanity) and "mono_us" (steady clock relative
@@ -38,8 +49,8 @@
  * participant — a whole multi-host sweep in one chrome://tracing (or
  * Perfetto) load.
  *
- * Everything here is gated by DICE_SWEEP_EVENTS (off by default).
- * When disabled, every journal emitter returns immediately without
+ * A process that writes no results directory never opens its
+ * journal, and then every emitter returns immediately without
  * allocating — enforced by the micro_simloop allocation gate.
  */
 
@@ -52,10 +63,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <map>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -84,12 +93,13 @@ constexpr unsigned kSweepPhases = 7;
 const char *sweepPhaseName(SweepPhase p);
 
 /**
- * Process-wide sweep metrics: one LogHistogram per SweepPhase plus
- * the slowest-cell record. Sampled unconditionally (a mutexed
- * histogram bump per *cell*, not per ref — invisible next to a
- * simulation), so sweep_summary.json percentiles exist even when the
- * event journal is off. Cumulative for the process's lifetime; use
- * snapshotAll() deltas for per-batch reporting.
+ * Process-wide sweep metrics: one LogHistogram per SweepPhase.
+ * Sampled unconditionally (a mutexed histogram bump per *cell*, not
+ * per ref — invisible next to a simulation); they feed the per-cell
+ * `sweep` stat group and perfbench's per-cell latency. Cumulative for
+ * the process's lifetime; use snapshot() deltas (subtracted()) for a
+ * window. sweep_summary.json does not read them: it folds the
+ * journals, which carry the same microsecond values.
  */
 class SweepMetrics
 {
@@ -99,16 +109,8 @@ class SweepMetrics
     /** Record one latency sample. Allocation-free. */
     void sample(SweepPhase p, std::uint64_t us);
 
-    /** Record a whole fresh cell: samples SweepPhase::Cell and tracks
-     *  the slowest cell's identity for straggler flagging. */
-    void noteCell(const std::string &cell, std::uint64_t us);
-
-    /** Copies under lock (safe against concurrent samplers). */
+    /** Copy under lock (safe against concurrent samplers). */
     LogHistogram snapshot(SweepPhase p) const;
-    std::array<LogHistogram, kSweepPhases> snapshotAll() const;
-
-    /** (cell stem, microseconds) of the slowest cell ("" if none). */
-    std::pair<std::string, std::uint64_t> slowestCell() const;
 
     /**
      * The "sweep" StatGroup: every phase histogram as a
@@ -124,8 +126,6 @@ class SweepMetrics
 
     mutable std::mutex mu_;
     std::array<LogHistogram, kSweepPhases> hists_;
-    std::string slowest_cell_;
-    std::uint64_t slowest_us_ = 0;
 };
 
 // ---------------------------------------------------------------------
@@ -134,8 +134,8 @@ class SweepMetrics
 /**
  * One participant's append-only event journal. A process-wide
  * singleton: disabled (and allocation-free on every emitter) until
- * open() is called, which only the bench harness does — and only when
- * DICE_SWEEP_EVENTS is set.
+ * open() is called, which only the bench harness does — and only in a
+ * process that writes into a sweep results directory.
  *
  * Records are one JSON object per line, fflushed per record so a
  * SIGKILLed worker's journal is complete up to its last event. Files
@@ -172,8 +172,10 @@ class SweepJournal
     // journal is disabled; cell/phase/op strings are emitted verbatim
     // (callers pass sanitized stems and literals).
     void mark(const char *name, const std::string &detail);
+    /** @p wait_us: how long the claim loop was free; @p acquire_us:
+     *  the lease-acquire syscall latency. */
     void claim(const std::string &cell, bool stolen, bool requeued,
-               std::uint64_t wait_us);
+               std::uint64_t wait_us, std::uint64_t acquire_us);
     void begin(const char *phase, const std::string &cell);
     void phase(const char *phase, const std::string &cell,
                std::uint64_t start_mono_us, std::uint64_t dur_us);
@@ -181,6 +183,10 @@ class SweepJournal
     void lease(const char *op, const std::string &cell,
                std::uint64_t dur_us);
     void arena(const char *op, const std::string &key);
+    /** End of batch @p batch (@p cells cells), worked by @p jobs
+     *  claim loops for @p span_us. */
+    void batch(unsigned long batch, std::size_t cells, unsigned jobs,
+               std::uint64_t span_us);
 
   private:
     SweepJournal() = default;
@@ -212,6 +218,11 @@ struct JournalEvent
     std::uint64_t start_us = 0;
     std::uint64_t dur_us = 0;
     std::uint64_t wait_us = 0;
+    std::uint64_t acquire_us = 0;
+    std::uint64_t batch = 0;
+    std::uint64_t cells = 0;
+    std::uint64_t jobs = 0;
+    std::uint64_t span_us = 0;
     long pid = 0;
     bool stolen = false;
     bool requeued = false;
@@ -254,6 +265,72 @@ bool parseJournalLine(const std::string &line, JournalEvent &out);
 bool readJournal(const std::filesystem::path &path,
                  ParticipantJournal &out, std::string *error = nullptr);
 
+/**
+ * Every readable journal (*.jsonl) directly under @p events_dir,
+ * sorted by participant name. Empty when the directory is missing.
+ */
+std::vector<ParticipantJournal>
+readJournals(const std::filesystem::path &events_dir);
+
+// ---------------------------------------------------------------------
+// The fold: one participant's record, rebuilt from its journal.
+
+/**
+ * Everything a status consumer reports about one participant (or,
+ * via merge(), about several), folded from journal records alone.
+ * Histograms are fed the records' microsecond values — claim wait
+ * and lease-acquire from claims, generate/simulate/export/cell from
+ * phase records, lease refresh from lease records — so they equal,
+ * bucket for bucket, what one process sampling those values would
+ * hold.
+ */
+struct ParticipantFold
+{
+    std::string name;
+    std::uint64_t cells = 0;    ///< Publish records.
+    std::uint64_t stolen = 0;   ///< Claims with stolen=1.
+    std::uint64_t requeued = 0; ///< Claims with requeued=1.
+    std::uint64_t busy_us = 0;  ///< Sum of whole-cell phase durations.
+    /** busy_us inside closed batches (those ended by a batch record):
+     *  the utilization numerator. A killed or still-running
+     *  participant's open batch has no span yet. */
+    std::uint64_t batch_busy_us = 0;
+    std::uint64_t batches = 0;      ///< Batch records.
+    std::uint64_t batch_cells = 0;  ///< Sum of their cell counts.
+    std::uint64_t span_us = 0;      ///< Sum of their spans.
+    std::uint64_t span_jobs_us = 0; ///< Sum of span x jobs.
+    unsigned jobs = 0;              ///< Latest batch record's jobs.
+    std::uint64_t generations = 0;  ///< Arena records, by op.
+    std::uint64_t disk_hits = 0;
+    std::uint64_t spills = 0;
+    std::array<LogHistogram, kSweepPhases> phases;
+    std::string slowest_cell; ///< Longest whole-cell phase record.
+    std::uint64_t slowest_us = 0;
+    /** The last segment's unfinished cell ("" when idle): the latest
+     *  "begin cell" with no later publish or cell phase for it. A
+     *  crashed worker keeps reporting its final cell. */
+    std::string in_flight_cell;
+    std::string in_flight_phase; ///< Deepest begun phase of that cell.
+    std::uint64_t in_flight_since_wall_us = 0;
+
+    /** busy / (span x jobs) over closed batches; 0 with none. */
+    double utilization() const;
+
+    /** Add @p other's counts and histograms; keep the slower slowest
+     *  cell. Name, jobs, and in-flight state stay this record's. */
+    void merge(const ParticipantFold &other);
+};
+
+/** Fold one participant's journal (all segments, file order). */
+ParticipantFold foldJournal(const ParticipantJournal &journal);
+
+/** foldJournal over readJournals(@p events_dir), in name order. */
+std::vector<ParticipantFold>
+foldSweepJournals(const std::filesystem::path &events_dir);
+
+// ---------------------------------------------------------------------
+// Timeline merge + anomaly detection.
+
 /** What mergeSweepTimeline produced (for logging/tools). */
 struct TimelineStats
 {
@@ -277,29 +354,13 @@ bool mergeSweepTimeline(const std::filesystem::path &events_dir,
                         std::string *error = nullptr,
                         TimelineStats *stats = nullptr);
 
-// ---------------------------------------------------------------------
-// Cross-process histogram transport + anomaly detection.
-
-/**
- * Append "hist <name> count .. sum .. max .. min .. buckets i:c,i:c\n"
- * — the worker-summary transport line for one LogHistogram. Only
- * non-empty buckets are listed; parseHistLine inverts exactly.
- */
-void appendHistText(std::string &out, const std::string &name,
-                    const LogHistogram &h);
-
-/** Inverse of appendHistText (without the trailing newline
- *  requirement). False on anything malformed. */
-bool parseHistLine(const std::string &line, std::string &name,
-                   LogHistogram &out);
-
 /**
  * The coordinator's anomaly screen over the merged (all participants)
- * batch record: flags straggler cells (slowest > k x p90 of the cell
+ * record: flags straggler cells (slowest > k x p90 of the cell
  * distribution, with a minimum population so two-cell batches don't
- * self-flag) and requeue storms (a quarter or more of the batch's
- * cells came back through dead-holder requeues — lease churn).
- * Returns human-readable warning strings, empty when healthy.
+ * self-flag) and requeue storms (a quarter or more of the cells came
+ * back through dead-holder requeues — lease churn). Returns
+ * human-readable warning strings, empty when healthy.
  */
 std::vector<std::string>
 sweepAnomalyWarnings(const LogHistogram &cell_us,

@@ -305,18 +305,6 @@ sweepMergedPath()
     return envOr("DICE_SWEEP_MERGED", "");
 }
 
-bool
-sweepEventsEnabled()
-{
-    return envFlag("DICE_SWEEP_EVENTS");
-}
-
-std::string
-sweepTimelinePath()
-{
-    return envOr("DICE_SWEEP_TIMELINE", "");
-}
-
 double
 sweepStragglerK()
 {

@@ -126,27 +126,18 @@ std::uint64_t statsIntervalRefs();
 /** DICE_DECISION_TRACE=1: record per-access decision rings. */
 bool decisionTraceEnabled();
 
-/** DICE_PROGRESS=1: bench-harness heartbeat/progress line. */
+/** DICE_PROGRESS=1: bench-harness progress line. */
 bool progressEnabled();
 
-/** DICE_SWEEP_RESULTS: directory for distributed-sweep worker output
- *  (per-cell docs, heartbeats, summaries). "" = harness default
- *  (<bench cache dir>/results). */
+/** DICE_SWEEP_RESULTS: directory for distributed-sweep output
+ *  (per-cell docs, leases, event journals, summary, timeline).
+ *  "" = harness default (<bench cache dir>/results); set, it also
+ *  makes a serial run write one. */
 std::string sweepResultsDir();
 
 /** DICE_SWEEP_MERGED: path for the canonical merged sweep document
  *  ("" = not written). */
 std::string sweepMergedPath();
-
-/** DICE_SWEEP_EVENTS=1: every sweep participant journals structured
- *  events into <results>/events/ and the coordinator merges them into
- *  one Chrome timeline at sweep end (DICE_SWEEP_EVENTS=0 / unset is
- *  the zero-cost off state). */
-bool sweepEventsEnabled();
-
-/** DICE_SWEEP_TIMELINE: path for the merged Chrome trace-event
- *  timeline ("" = <results>/timeline.json). */
-std::string sweepTimelinePath();
 
 /** DICE_SWEEP_STRAGGLER_K: a cell slower than k x p90 of the batch's
  *  cell latencies is flagged as a straggler (default 4.0). */

@@ -59,17 +59,8 @@ System::System(const SystemConfig &config,
                 profiles_[cid], start, lines, mix64(cfg_.seed, cid));
         }
 
-        CoreState state{TraceCore(cfg_.core), std::move(source),
-                        nullptr, nullptr, 0, MemRef{}};
-        if (cfg_.use_l1_l2) {
-            SramCacheConfig l1 = cfg_.l1;
-            l1.name = "l1." + std::to_string(cid);
-            SramCacheConfig l2 = cfg_.l2;
-            l2.name = "l2." + std::to_string(cid);
-            state.l1 = std::make_unique<SramCache>(l1);
-            state.l2 = std::make_unique<SramCache>(l2);
-        }
-        cores_.push_back(std::move(state));
+        cores_.push_back(
+            CoreState{TraceCore(cfg_.core), std::move(source), 0, MemRef{}});
     }
 
     // The registry validates the tagged config (unknown names and
@@ -97,14 +88,6 @@ System::registerStats()
         return g;
     });
     registry_.add("l3", [this] { return l3_->stats(); });
-    for (std::size_t cid = 0; cid < cores_.size(); ++cid) {
-        if (const SramCache *l1 = cores_[cid].l1.get())
-            registry_.add("l1." + std::to_string(cid),
-                          [l1] { return l1->stats(); });
-        if (const SramCache *l2 = cores_[cid].l2.get())
-            registry_.add("l2." + std::to_string(cid),
-                          [l2] { return l2->stats(); });
-    }
     if (l4_) {
         registry_.add("l4", [this] { return l4_->stats(); });
         registry_.add("l4.dram",
@@ -229,85 +212,35 @@ System::step(std::uint32_t cid)
     const MemRef ref = cs.pending;
     const Cycle t = cs.core.prepareIssue(ref.gap_instr);
 
-    LineAddr line = ref.line;
-    Cycle l3_arrival = t;
-    bool handled = false;
-
-    // Optional private L1/L2 in front of the shared L3.
-    if (cfg_.use_l1_l2) {
-        const AccessType type =
-            ref.is_write ? AccessType::Write : AccessType::Read;
-        const std::uint64_t ver =
-            ref.is_write ? bumpVersion(line) : 0;
-        if (cs.l1->access(line, type, ver)) {
-            if (!ref.is_write)
-                cs.core.completeLoad(t + cfg_.l1.hit_latency);
-            handled = true;
-        } else if (cs.l2->access(line, type, ver)) {
-            // Fill L1 from L2; dirty L1 victims fold into L2.
-            const auto v1 = cs.l1->install(line, ref.is_write, ver);
-            if (v1 && v1->dirty)
-                cs.l2->access(v1->line, AccessType::Writeback,
-                              v1->payload);
-            if (!ref.is_write) {
-                cs.core.completeLoad(t + cfg_.l1.hit_latency +
-                                     cfg_.l2.hit_latency);
-            }
-            handled = true;
-        } else {
-            l3_arrival = t + cfg_.l1.hit_latency + cfg_.l2.hit_latency;
+    const LineAddr line = ref.line;
+    if (ref.is_write) {
+        const std::uint64_t ver = bumpVersion(line);
+        if (!l3_->access(line, AccessType::Write, ver)) {
+            // Write-allocate; the store itself does not block the
+            // core (post-commit buffer), so only traffic is charged.
+            fetchIntoL3(line, t, ref.pc, true, ver);
         }
-        // L2 victims from the eventual fill are handled below via the
-        // L3 path; keep the model single-level beyond this point.
-    }
+    } else if (l3_->access(line, AccessType::Read)) {
+        cs.core.completeLoad(t + cfg_.l3.hit_latency);
+    } else {
+        const Cycle done = fetchIntoL3(line, t, ref.pc, false, 0);
+        cs.core.completeLoad(done);
+        miss_latency_sum_ += static_cast<double>(done - t);
+        ++miss_latency_count_;
 
-    if (!handled) {
-        if (ref.is_write) {
-            const std::uint64_t ver = bumpVersion(line);
-            if (!l3_->access(line, AccessType::Write, ver)) {
-                // Write-allocate; the store itself does not block the
-                // core (post-commit buffer), so only traffic is charged.
-                fetchIntoL3(line, l3_arrival, ref.pc, true, ver);
-            }
-            if (cfg_.use_l1_l2) {
-                const auto v1 = cs.l1->install(line, true, ver);
-                if (v1 && v1->dirty)
-                    cs.l2->access(v1->line, AccessType::Writeback,
-                                  v1->payload);
-            }
-        } else {
-            if (l3_->access(line, AccessType::Read)) {
-                cs.core.completeLoad(l3_arrival + cfg_.l3.hit_latency);
-            } else {
-                const Cycle done = fetchIntoL3(line, l3_arrival, ref.pc,
-                                               false, 0);
-                cs.core.completeLoad(done);
-                miss_latency_sum_ += static_cast<double>(done - t);
-                ++miss_latency_count_;
-
-                // Table 7 L3-side alternatives.
-                if (cfg_.l3_wide_fetch) {
-                    const LineAddr buddy = line ^ 1;
-                    if (!l3_->contains(buddy))
-                        fetchIntoL3(buddy, l3_arrival, ref.pc, false, 0);
-                }
-                if (cfg_.l3_nextline_prefetch) {
-                    // The prefetch is issued alongside the demand
-                    // request (it must not be timestamped at the
-                    // demand's completion, which would serialize it
-                    // behind the whole miss).
-                    const LineAddr next = line + 1;
-                    if (!l3_->contains(next))
-                        fetchIntoL3(next, l3_arrival, ref.pc, false, 0);
-                }
-            }
-            if (cfg_.use_l1_l2) {
-                const auto v1 = cs.l1->install(line, false, 0);
-                if (v1 && v1->dirty)
-                    cs.l2->access(v1->line, AccessType::Writeback,
-                                  v1->payload);
-                cs.l2->install(line, false, 0);
-            }
+        // Table 7 L3-side alternatives.
+        if (cfg_.l3_wide_fetch) {
+            const LineAddr buddy = line ^ 1;
+            if (!l3_->contains(buddy))
+                fetchIntoL3(buddy, t, ref.pc, false, 0);
+        }
+        if (cfg_.l3_nextline_prefetch) {
+            // The prefetch is issued alongside the demand request (it
+            // must not be timestamped at the demand's completion,
+            // which would serialize it behind the whole miss).
+            const LineAddr next = line + 1;
+            if (!l3_->contains(next))
+                fetchIntoL3(next, t, ref.pc, false, 0);
         }
     }
 
@@ -360,12 +293,6 @@ void
 System::resetAllStats()
 {
     l3_->resetStats();
-    for (CoreState &cs : cores_) {
-        if (cs.l1)
-            cs.l1->resetStats();
-        if (cs.l2)
-            cs.l2->resetStats();
-    }
     if (l4_)
         l4_->resetStats();
     mem_.device().resetStats();

@@ -1,8 +1,10 @@
 /**
  * @file
- * Full-system assembly: N trace-driven cores -> (optional private
- * L1/L2) -> shared L3 -> L4 DRAM cache -> DDR main memory, with MAP-I
- * hit/miss prediction at the L4 boundary and the energy model on top.
+ * Full-system assembly: N trace-driven cores -> shared L3 -> L4 DRAM
+ * cache -> DDR main memory, with MAP-I hit/miss prediction at the L4
+ * boundary and the energy model on top. The cores issue L3-level
+ * reference streams (workload profiles are calibrated in L3 accesses
+ * per kilo-instruction), so private L1/L2 caches are not simulated.
  *
  * This is the driver every benchmark binary uses: construct a System
  * from a SystemConfig plus one workload profile per core, call run(),
@@ -39,11 +41,6 @@ struct SystemConfig
     std::uint32_t num_cores = 8;
     CoreConfig core;
 
-    /** Private L1/L2 are modeled only when use_l1_l2 is set; the
-     *  benchmark harness drives L3-level traces for speed. */
-    bool use_l1_l2 = false;
-    SramCacheConfig l1{"l1", 16_KiB, 8, 4};
-    SramCacheConfig l2{"l2", 64_KiB, 8, 12};
     SramCacheConfig l3{"l3", 256_KiB, 8, 30};
 
     /**
@@ -172,8 +169,6 @@ class System
     {
         TraceCore core;
         std::unique_ptr<TraceSource> trace;
-        std::unique_ptr<SramCache> l1;
-        std::unique_ptr<SramCache> l2;
         std::uint64_t refs_done = 0;
         MemRef pending{};
     };

@@ -116,23 +116,6 @@ TEST(Stats, CounterBasics)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Stats, HistogramBucketsAndMoments)
-{
-    Histogram h(4, 10); // buckets [0,10) [10,20) [20,30) [30,40) +ovf
-    h.sample(5);
-    h.sample(15);
-    h.sample(15);
-    h.sample(100);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(1), 2u);
-    EXPECT_EQ(h.bucket(4), 1u); // overflow
-    EXPECT_EQ(h.max(), 100u);
-    EXPECT_DOUBLE_EQ(h.mean(), 135.0 / 4);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-}
-
 TEST(Stats, StatGroupDumpAndGet)
 {
     Counter c;

@@ -1,16 +1,17 @@
 /**
  * @file
  * Distributed sweep observability under test: the mergeable
- * LogHistogram (exact cross-process merge is the property the whole
- * summary transport rests on), the hist text transport and the
- * heartbeat/summary participant files, the event-journal line format,
- * and — the centerpiece — the cross-participant timeline merge with
- * skewed wall clocks, asserted causally consistent and round-tripped
- * through the mini JSON parser like a real chrome://tracing load.
+ * LogHistogram (exact cross-process merge is the property the sweep
+ * summary rests on), the `sweep` stat-group export, the event-journal
+ * line format, the journal fold every status consumer shares, and —
+ * the centerpiece — the cross-participant timeline merge with skewed
+ * wall clocks, asserted causally consistent and round-tripped through
+ * the mini JSON parser like a real chrome://tracing load.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -21,13 +22,13 @@
 #include "common/stats.hpp"
 #include "common/sweep_events.hpp"
 #include "mini_json.hpp"
-#include "sweep_queue.hpp"
 
 namespace
 {
 
 using dice::JournalEvent;
 using dice::LogHistogram;
+using dice::ParticipantFold;
 using dice::ParticipantJournal;
 using dice::SweepMetrics;
 using dice::SweepPhase;
@@ -147,50 +148,6 @@ TEST(LogHistogram, PercentilesClampedToObservedRange)
     EXPECT_GT(spread.percentile(0.999), 1000.0);
 }
 
-TEST(LogHistogram, HistTextRoundTrip)
-{
-    LogHistogram h;
-    for (std::uint64_t v : {std::uint64_t{0}, std::uint64_t{5},
-                            std::uint64_t{5}, std::uint64_t{70000}})
-        h.sample(v);
-
-    std::string text;
-    dice::appendHistText(text, "cell_us", h);
-    ASSERT_FALSE(text.empty());
-    ASSERT_EQ(text.back(), '\n');
-
-    std::string name;
-    LogHistogram back;
-    ASSERT_TRUE(dice::parseHistLine(text.substr(0, text.size() - 1),
-                                    name, back));
-    EXPECT_EQ(name, "cell_us");
-    EXPECT_EQ(back.count(), h.count());
-    EXPECT_EQ(back.sum(), h.sum());
-    EXPECT_EQ(back.max(), h.max());
-    EXPECT_EQ(back.min(), h.min());
-    for (std::uint32_t i = 0; i < LogHistogram::kBuckets; ++i)
-        EXPECT_EQ(back.bucket(i), h.bucket(i)) << "bucket " << i;
-}
-
-TEST(LogHistogram, HistTextEmptyAndMalformed)
-{
-    std::string text;
-    dice::appendHistText(text, "empty", LogHistogram{});
-    std::string name;
-    LogHistogram back;
-    ASSERT_TRUE(dice::parseHistLine(text.substr(0, text.size() - 1),
-                                    name, back));
-    EXPECT_EQ(back.count(), 0u);
-
-    // Bucket counts that do not add up to the header count are
-    // rejected, as is anything structurally off.
-    EXPECT_FALSE(dice::parseHistLine(
-        "hist x count 5 sum 50 max 20 min 1 buckets 3:1", name, back));
-    EXPECT_FALSE(dice::parseHistLine("hist", name, back));
-    EXPECT_FALSE(dice::parseHistLine(
-        "hist x count 1 sum 5 max 5 min 5 buckets 99:1", name, back));
-}
-
 // ---------------------------------------------------------------------
 // SweepMetrics.
 
@@ -199,16 +156,64 @@ TEST(SweepMetrics, SlowestCellAndSnapshots)
     SweepMetrics &m = SweepMetrics::instance();
     m.resetForTest();
     m.sample(SweepPhase::Generate, 100);
-    m.noteCell("mcf_dice", 5000);
-    m.noteCell("lbm_alloy", 9000);
-    m.noteCell("gcc_tsi", 1000);
+    for (const std::uint64_t us : {5000, 9000, 1000})
+        m.sample(SweepPhase::Cell, us);
 
-    const auto [cell, us] = m.slowestCell();
-    EXPECT_EQ(cell, "lbm_alloy");
-    EXPECT_EQ(us, 9000u);
+    // In-process, the slowest cell is the whole-cell histogram's max;
+    // which cell it was comes from the journal fold (SweepFold tests).
+    EXPECT_EQ(m.snapshot(SweepPhase::Cell).max(), 9000u);
     EXPECT_EQ(m.snapshot(SweepPhase::Cell).count(), 3u);
     EXPECT_EQ(m.snapshot(SweepPhase::Generate).count(), 1u);
     EXPECT_EQ(m.snapshot(SweepPhase::Simulate).count(), 0u);
+    m.resetForTest();
+}
+
+TEST(SweepMetrics, StatGroupExportsEveryHistogramEntry)
+{
+    SweepMetrics &m = SweepMetrics::instance();
+    m.resetForTest();
+    LogHistogram want;
+    for (const std::uint64_t us : {0, 5, 5, 70000}) {
+        m.sample(SweepPhase::Cell, us);
+        want.sample(us);
+    }
+    const dice::StatGroup g = m.statGroup();
+    EXPECT_EQ(g.name(), "sweep");
+
+    EXPECT_DOUBLE_EQ(g.get("cell_us.count"), 4.0);
+    EXPECT_DOUBLE_EQ(g.get("cell_us.sum"), 70010.0);
+    EXPECT_DOUBLE_EQ(g.get("cell_us.mean"), 70010.0 / 4);
+    EXPECT_DOUBLE_EQ(g.get("cell_us.max"), 70000.0);
+    EXPECT_DOUBLE_EQ(g.get("cell_us.p50"), want.percentile(0.50));
+    EXPECT_DOUBLE_EQ(g.get("cell_us.p90"), want.percentile(0.90));
+    EXPECT_DOUBLE_EQ(g.get("cell_us.p99"), want.percentile(0.99));
+
+    // One lo/hi/count triple per non-empty bucket, with explicit
+    // power-of-two edges: 0 -> bucket 0, 5 -> [4, 8), 70000 ->
+    // [65536, 131072).
+    const struct
+    {
+        int bucket;
+        double lo, hi, count;
+    } buckets[] = {{0, 0, 1, 1}, {3, 4, 8, 2}, {17, 65536, 131072, 1}};
+    for (const auto &b : buckets) {
+        const std::string prefix =
+            "cell_us.bucket" + std::to_string(b.bucket);
+        EXPECT_DOUBLE_EQ(g.get(prefix + ".lo"), b.lo) << prefix;
+        EXPECT_DOUBLE_EQ(g.get(prefix + ".hi"), b.hi) << prefix;
+        EXPECT_DOUBLE_EQ(g.get(prefix + ".count"), b.count) << prefix;
+    }
+    EXPECT_TRUE(std::isnan(g.get("cell_us.bucket1.count")));
+
+    // Every phase exports its family, empty ones with zero counts and
+    // no bucket entries: 7 summary entries each, plus 3 per bucket.
+    for (unsigned i = 0; i < dice::kSweepPhases; ++i) {
+        const std::string name =
+            dice::sweepPhaseName(static_cast<SweepPhase>(i));
+        EXPECT_FALSE(std::isnan(g.get(name + ".p99"))) << name;
+    }
+    EXPECT_DOUBLE_EQ(g.get("generate_us.count"), 0.0);
+    EXPECT_EQ(g.size(), 7u * dice::kSweepPhases + 3u * 3u);
     m.resetForTest();
 }
 
@@ -228,6 +233,15 @@ TEST(SweepJournal, ParseJournalLine)
     EXPECT_FALSE(e.requeued);
     EXPECT_EQ(e.wait_us, 42u);
     EXPECT_EQ(e.mono_us, 7u);
+
+    ASSERT_TRUE(dice::parseJournalLine(
+        R"({"ev":"batch","batch":3,"cells":40,"jobs":4,)"
+        R"("span_us":900,"wall_us":1,"mono_us":2})",
+        e));
+    EXPECT_EQ(e.batch, 3u);
+    EXPECT_EQ(e.cells, 40u);
+    EXPECT_EQ(e.jobs, 4u);
+    EXPECT_EQ(e.span_us, 900u);
 
     // Escapes unescape; unknown keys are ignored (forward compat).
     ASSERT_TRUE(dice::parseJournalLine(
@@ -480,117 +494,256 @@ TEST(SweepAnomalies, StragglerAndChurn)
 }
 
 // ---------------------------------------------------------------------
-// Participant-file helpers (heartbeats, summaries).
+// The journal fold.
 
-TEST(ParticipantFiles, HeartbeatRoundTrip)
+/** One hand-written journal record line. */
+std::string
+rec(const std::string &body)
 {
-    dice::bench::HeartbeatRecord hb;
-    hb.batch = 3;
-    hb.done = 17;
-    hb.total = 40;
-    hb.stolen = 5;
-    hb.requeued = 2;
-    hb.busy_ms = 1234;
-
-    dice::bench::HeartbeatRecord back;
-    ASSERT_TRUE(dice::bench::parseHeartbeat(
-        dice::bench::renderHeartbeat(hb), back));
-    EXPECT_EQ(back.batch, hb.batch);
-    EXPECT_EQ(back.done, hb.done);
-    EXPECT_EQ(back.total, hb.total);
-    EXPECT_EQ(back.stolen, hb.stolen);
-    EXPECT_EQ(back.requeued, hb.requeued);
-    EXPECT_EQ(back.busy_ms, hb.busy_ms);
-
-    EXPECT_FALSE(dice::bench::parseHeartbeat("nonsense", back));
-    // done > total is a corrupt file, not a heartbeat.
-    dice::bench::HeartbeatRecord bad = hb;
-    bad.done = 99;
-    EXPECT_FALSE(dice::bench::parseHeartbeat(
-        dice::bench::renderHeartbeat(bad), back));
+    return "{" + body + ",\"wall_us\":1000,\"mono_us\":1}\n";
 }
 
-TEST(ParticipantFiles, SummaryRoundTripWithHistograms)
+std::string
+epoch(const std::string &who, long pid)
 {
-    dice::bench::SummaryRecord s;
-    s.batch = 2;
-    s.cells = 12;
-    s.stolen = 4;
-    s.requeued = 1;
-    s.busy_ms = 800;
-    s.span_ms = 950;
-    s.jobs = 3;
-    s.generations = 6;
-    s.disk_hits = 5;
-    s.spills = 6;
-    LogHistogram cell;
-    cell.sample(1000);
-    cell.sample(64000);
-    s.hists.emplace_back("cell_us", cell);
-    LogHistogram gen;
-    gen.sample(300);
-    s.hists.emplace_back("generate_us", gen);
-    s.slowest_cell = "mcf_dice";
-    s.slowest_us = 64000;
-
-    dice::bench::SummaryRecord back;
-    ASSERT_TRUE(
-        dice::bench::parseSummary(dice::bench::renderSummary(s), back));
-    EXPECT_EQ(back.batch, s.batch);
-    EXPECT_EQ(back.cells, s.cells);
-    EXPECT_EQ(back.stolen, s.stolen);
-    EXPECT_EQ(back.requeued, s.requeued);
-    EXPECT_EQ(back.jobs, s.jobs);
-    EXPECT_EQ(back.generations, s.generations);
-    EXPECT_EQ(back.disk_hits, s.disk_hits);
-    EXPECT_EQ(back.spills, s.spills);
-    ASSERT_EQ(back.hists.size(), 2u);
-    EXPECT_EQ(back.hists[0].first, "cell_us");
-    EXPECT_EQ(back.hists[0].second.count(), 2u);
-    EXPECT_EQ(back.hists[0].second.sum(), 65000u);
-    EXPECT_EQ(back.hists[1].first, "generate_us");
-    EXPECT_EQ(back.slowest_cell, "mcf_dice");
-    EXPECT_EQ(back.slowest_us, 64000u);
-
-    // A garbled hist line poisons the whole summary (files are
-    // written atomically, so a bad line is corruption, not tearing)…
-    std::string text = dice::bench::renderSummary(s);
-    text += "hist broken count 2 sum 5 max 5 min 0 buckets 1:1\n";
-    EXPECT_FALSE(dice::bench::parseSummary(text, back));
-    // …but unknown future record kinds are ignored.
-    std::string ok = dice::bench::renderSummary(s);
-    ok += "future_record 1 2 3\n";
-    EXPECT_TRUE(dice::bench::parseSummary(ok, back));
+    return "{\"ev\":\"epoch\",\"participant\":\"" + who +
+           "\",\"pid\":" + std::to_string(pid) +
+           ",\"host\":\"h\",\"wall_us\":1000,\"mono_us\":0}\n";
 }
 
-TEST(ParticipantFiles, ForEachSkipsGarbledOnceAndOptionallyRemoves)
+std::string
+claim(const std::string &cell, int stolen, int requeued,
+      std::uint64_t wait_us, std::uint64_t acquire_us)
 {
-    const auto dir = freshDir("dice_test_participant_files");
-    writeFile(dir / "a.heartbeat", "batch 1 done 1 total 2 stolen 0 "
-                                   "requeued 0 busy_ms 5\n");
-    writeFile(dir / "b.heartbeat", "garbage\n");
-    writeFile(dir / "c.other", "not scanned\n");
+    return rec("\"ev\":\"claim\",\"cell\":\"" + cell +
+               "\",\"stolen\":" + std::to_string(stolen) +
+               ",\"requeued\":" + std::to_string(requeued) +
+               ",\"wait_us\":" + std::to_string(wait_us) +
+               ",\"acquire_us\":" + std::to_string(acquire_us));
+}
 
-    int seen = 0;
-    dice::bench::forEachParticipantFile(
-        dir, ".heartbeat", /*remove_garbled=*/false,
-        [&seen](const std::filesystem::path &,
-                const std::string &content) {
-            ++seen;
-            dice::bench::HeartbeatRecord hb;
-            return dice::bench::parseHeartbeat(content, hb);
-        });
-    EXPECT_EQ(seen, 2);
-    EXPECT_TRUE(std::filesystem::exists(dir / "b.heartbeat"));
+std::string
+phase(const std::string &name, const std::string &cell,
+      std::uint64_t dur_us)
+{
+    return rec("\"ev\":\"phase\",\"phase\":\"" + name +
+               "\",\"cell\":\"" + cell +
+               "\",\"start_us\":0,\"dur_us\":" + std::to_string(dur_us));
+}
 
-    dice::bench::forEachParticipantFile(
-        dir, ".heartbeat", /*remove_garbled=*/true,
-        [](const std::filesystem::path &, const std::string &content) {
-            dice::bench::HeartbeatRecord hb;
-            return dice::bench::parseHeartbeat(content, hb);
-        });
-    EXPECT_FALSE(std::filesystem::exists(dir / "b.heartbeat"));
-    EXPECT_TRUE(std::filesystem::exists(dir / "a.heartbeat"));
+std::string
+event(const std::string &ev, const std::string &field,
+      const std::string &value)
+{
+    return rec("\"ev\":\"" + ev + "\",\"" + field + "\":\"" + value +
+               "\"");
+}
+
+std::string
+batch(unsigned long index, std::size_t cells, unsigned jobs,
+      std::uint64_t span_us)
+{
+    return rec("\"ev\":\"batch\",\"batch\":" + std::to_string(index) +
+               ",\"cells\":" + std::to_string(cells) +
+               ",\"jobs\":" + std::to_string(jobs) +
+               ",\"span_us\":" + std::to_string(span_us));
+}
+
+/**
+ * A two-batch sweep as its participants would journal it:
+ *  - the coordinator spawns, simulates nothing, closes both batches;
+ *  - worker0 works batch 0 (segment 0), then is respawned for batch 1
+ *    (segment 1) and SIGKILLed mid-cell: no batch record, a torn
+ *    final line;
+ *  - worker1 requeues worker0's dead cell and has the slowest cell;
+ *  - join77 attached late and has not closed its batch yet.
+ */
+std::filesystem::path
+writeFoldJournals()
+{
+    const auto dir = freshDir("dice_test_journal_fold");
+    const auto events = dir / "events";
+    std::filesystem::create_directories(events);
+    writeFile(events / "coordinator.jsonl",
+              epoch("coordinator", 1) +
+                  event("mark", "name", "spawn") + batch(0, 2, 4, 100000) +
+                  batch(1, 3, 4, 200000));
+    writeFile(events / "worker0.jsonl",
+              epoch("worker0", 2) + claim("a", 0, 0, 10, 3) +
+                  event("arena", "op", "generate") +
+                  event("arena", "op", "spill") +
+                  phase("generate", "a", 2000) +
+                  phase("simulate", "a", 30000) +
+                  phase("export", "a", 0) + phase("cell", "a", 40000) +
+                  event("publish", "cell", "a") +
+                  rec("\"ev\":\"lease\",\"op\":\"refresh\","
+                      "\"cell\":\"a\",\"dur_us\":7") +
+                  batch(0, 2, 1, 50000) + epoch("worker0", 5) +
+                  claim("c", 1, 0, 0, 4) +
+                  event("arena", "op", "disk_hit") +
+                  rec("\"ev\":\"begin\",\"phase\":\"cell\","
+                      "\"cell\":\"c\"") +
+                  phase("cell", "c", 20000) +
+                  event("publish", "cell", "c") + claim("d", 1, 0, 5, 2) +
+                  rec("\"ev\":\"begin\",\"phase\":\"cell\","
+                      "\"cell\":\"d\"") +
+                  rec("\"ev\":\"begin\",\"phase\":\"simulate\","
+                      "\"cell\":\"d\"") +
+                  R"({"ev":"phase","phase":"cell","cell":"d","dur)");
+    writeFile(events / "worker1.jsonl",
+              epoch("worker1", 3) + claim("b", 1, 0, 20, 5) +
+                  phase("cell", "b", 70000) +
+                  event("publish", "cell", "b") +
+                  rec("\"ev\":\"lease\",\"op\":\"break\","
+                      "\"cell\":\"d\",\"dur_us\":0") +
+                  claim("d", 1, 1, 100, 9) + phase("cell", "d", 10000) +
+                  event("publish", "cell", "d") +
+                  batch(1, 3, 2, 90000));
+    writeFile(events / "join77.jsonl",
+              epoch("join77", 77) + claim("e", 1, 0, 0, 1) +
+                  phase("cell", "e", 5000) +
+                  event("publish", "cell", "e"));
+    return dir;
+}
+
+void
+expectSameHistogram(const LogHistogram &got, const LogHistogram &want,
+                    const std::string &what)
+{
+    EXPECT_EQ(got.count(), want.count()) << what;
+    EXPECT_EQ(got.sum(), want.sum()) << what;
+    EXPECT_EQ(got.max(), want.max()) << what;
+    EXPECT_EQ(got.min(), want.min()) << what;
+    for (std::uint32_t i = 0; i < LogHistogram::kBuckets; ++i)
+        EXPECT_EQ(got.bucket(i), want.bucket(i)) << what << " bucket " << i;
+}
+
+TEST(SweepFold, RebuildsEveryParticipantRecord)
+{
+    const auto dir = writeFoldJournals();
+    const std::vector<ParticipantFold> folds =
+        dice::foldSweepJournals(dir / "events");
+    ASSERT_EQ(folds.size(), 4u);
+    const ParticipantFold &coord = folds[0];
+    const ParticipantFold &join = folds[1];
+    const ParticipantFold &w0 = folds[2];
+    const ParticipantFold &w1 = folds[3];
+    EXPECT_EQ(coord.name, "coordinator");
+    EXPECT_EQ(join.name, "join77");
+    EXPECT_EQ(w0.name, "worker0");
+    EXPECT_EQ(w1.name, "worker1");
+
+    // The coordinator closed both batches and simulated nothing.
+    EXPECT_EQ(coord.cells, 0u);
+    EXPECT_EQ(coord.batches, 2u);
+    EXPECT_EQ(coord.batch_cells, 5u);
+    EXPECT_EQ(coord.span_us, 300000u);
+    EXPECT_EQ(coord.jobs, 4u);
+    EXPECT_DOUBLE_EQ(coord.utilization(), 0.0);
+
+    // worker0: both segments count; the killed segment's cell d is
+    // still in flight (its closing record was torn), and only the
+    // closed batch's busy time enters utilization.
+    EXPECT_EQ(w0.cells, 2u);
+    EXPECT_EQ(w0.stolen, 2u);
+    EXPECT_EQ(w0.requeued, 0u);
+    EXPECT_EQ(w0.busy_us, 60000u);
+    EXPECT_EQ(w0.batches, 1u);
+    EXPECT_EQ(w0.span_us, 50000u);
+    EXPECT_EQ(w0.jobs, 1u);
+    EXPECT_DOUBLE_EQ(w0.utilization(), 40000.0 / 50000.0);
+    EXPECT_EQ(w0.generations, 1u);
+    EXPECT_EQ(w0.spills, 1u);
+    EXPECT_EQ(w0.disk_hits, 1u);
+    EXPECT_EQ(w0.in_flight_cell, "d");
+    EXPECT_EQ(w0.in_flight_phase, "simulate");
+
+    EXPECT_EQ(w1.cells, 2u);
+    EXPECT_EQ(w1.stolen, 2u);
+    EXPECT_EQ(w1.requeued, 1u);
+    EXPECT_EQ(w1.busy_us, 80000u);
+    EXPECT_EQ(w1.jobs, 2u);
+    EXPECT_DOUBLE_EQ(w1.utilization(), 80000.0 / (90000.0 * 2));
+    EXPECT_EQ(w1.slowest_cell, "b");
+    EXPECT_EQ(w1.slowest_us, 70000u);
+    EXPECT_TRUE(w1.in_flight_cell.empty());
+
+    // The joiner's batch is still open: counted work, no span yet.
+    EXPECT_EQ(join.cells, 1u);
+    EXPECT_EQ(join.stolen, 1u);
+    EXPECT_EQ(join.busy_us, 5000u);
+    EXPECT_EQ(join.batches, 0u);
+    EXPECT_EQ(join.jobs, 0u);
+    EXPECT_DOUBLE_EQ(join.utilization(), 0.0);
+
+    // Merged, the histograms equal one LogHistogram fed every
+    // journaled microsecond value, bucket for bucket.
+    ParticipantFold all;
+    for (const ParticipantFold &p : folds)
+        all.merge(p);
+    EXPECT_EQ(all.cells, 5u);
+    EXPECT_EQ(all.requeued, 1u);
+    EXPECT_EQ(all.generations, 1u);
+    EXPECT_EQ(all.slowest_cell, "b");
+    const auto hist = [](std::initializer_list<std::uint64_t> us) {
+        LogHistogram h;
+        for (const std::uint64_t v : us)
+            h.sample(v);
+        return h;
+    };
+    const auto at = [&all](SweepPhase p) -> const LogHistogram & {
+        return all.phases[static_cast<unsigned>(p)];
+    };
+    expectSameHistogram(at(SweepPhase::ClaimWait),
+                        hist({10, 0, 5, 20, 100, 0}), "claim_wait");
+    expectSameHistogram(at(SweepPhase::LeaseAcquire),
+                        hist({3, 4, 2, 5, 9, 1}), "lease_acquire");
+    expectSameHistogram(at(SweepPhase::Generate), hist({2000}),
+                        "generate");
+    expectSameHistogram(at(SweepPhase::Simulate), hist({30000}),
+                        "simulate");
+    expectSameHistogram(at(SweepPhase::Export), hist({0}), "export");
+    expectSameHistogram(at(SweepPhase::Cell),
+                        hist({40000, 20000, 70000, 10000, 5000}), "cell");
+    expectSameHistogram(at(SweepPhase::LeaseRefresh), hist({7}),
+                        "lease_refresh");
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepFold, EmittersRoundTripThroughTheFold)
+{
+    // What SweepJournal writes is what the fold reads.
+    const auto dir = freshDir("dice_test_journal_emit");
+    dice::SweepJournal &jr = dice::SweepJournal::instance();
+    ASSERT_TRUE(jr.open(dir, "worker3"));
+    jr.claim("mcf_dice", true, true, 12, 34);
+    jr.begin("cell", "mcf_dice");
+    jr.phase("cell", "mcf_dice", 0, 5000);
+    jr.publish("mcf_dice");
+    jr.arena("generate", "mcf.s1");
+    jr.batch(2, 9, 3, 8000);
+    jr.close();
+    EXPECT_FALSE(jr.enabled());
+
+    const std::vector<ParticipantFold> folds =
+        dice::foldSweepJournals(dir);
+    ASSERT_EQ(folds.size(), 1u);
+    const ParticipantFold &f = folds[0];
+    EXPECT_EQ(f.name, "worker3");
+    EXPECT_EQ(f.cells, 1u);
+    EXPECT_EQ(f.stolen, 1u);
+    EXPECT_EQ(f.requeued, 1u);
+    EXPECT_EQ(f.busy_us, 5000u);
+    EXPECT_EQ(f.generations, 1u);
+    EXPECT_EQ(f.batches, 1u);
+    EXPECT_EQ(f.batch_cells, 9u);
+    EXPECT_EQ(f.jobs, 3u);
+    EXPECT_DOUBLE_EQ(f.utilization(), 5000.0 / (8000.0 * 3));
+    EXPECT_EQ(f.phases[static_cast<unsigned>(SweepPhase::LeaseAcquire)]
+                  .sum(),
+              34u);
+    EXPECT_EQ(f.slowest_cell, "mcf_dice");
+    EXPECT_TRUE(f.in_flight_cell.empty());
     std::filesystem::remove_all(dir);
 }
 

@@ -195,20 +195,6 @@ TEST(System, WeightedSpeedupOfIdenticalRunsIsOne)
     EXPECT_NEAR(weightedSpeedup(ra, rb), 1.0, 1e-9);
 }
 
-TEST(System, FullHierarchyModeFiltersL3Traffic)
-{
-    SystemConfig l3_only = smallSystem("alloy");
-    SystemConfig full = smallSystem("alloy");
-    full.use_l1_l2 = true;
-    System a(l3_only, rateProfiles("gcc", 2));
-    System b(full, rateProfiles("gcc", 2));
-    const RunResult ra = a.run();
-    const RunResult rb = b.run();
-    // With L1/L2 in front, far fewer references reach L3.
-    EXPECT_LT(rb.l4_reads + 1, ra.l4_reads + 1);
-    EXPECT_GT(rb.cycles, 0u);
-}
-
 TEST(System, PrefetchKnobsRun)
 {
     SystemConfig nl = smallSystem("alloy");

@@ -130,7 +130,7 @@ TEST(DecisionRing, SingleSlotRingHoldsTheLatest)
 }
 
 // ---------------------------------------------------------------------
-// StatGroup / Histogram guards (satellites)
+// StatGroup guards
 
 TEST(StatsGuards, DuplicateStatNamePanics)
 {
@@ -140,11 +140,6 @@ TEST(StatsGuards, DuplicateStatNamePanics)
     EXPECT_DEATH(g.addCounter("hits", c), "duplicate stat");
     EXPECT_DEATH(g.addFormula("hits", [] { return 0.0; }),
                  "duplicate stat");
-}
-
-TEST(StatsGuards, HistogramZeroBucketWidthPanics)
-{
-    EXPECT_DEATH(Histogram(4, 0), "bucket_width");
 }
 
 // ---------------------------------------------------------------------
