@@ -451,10 +451,14 @@ runCheck()
     SystemConfig long_cfg = orgConfig("dice", kLongRefs);
     // Identical warmup so cold-start fills cancel in the delta, and a
     // cache small enough (16 Ki sets) that the warmup touches every
-    // set: per-set storage performs its one-time growth before the
-    // measured window, so the delta isolates true per-reference
-    // allocation. The fig10-sized cache would still be absorbing
-    // first-touch set fills at these reference counts.
+    // set. Set growth does not finish in the warmup, though: a TadSet
+    // keeps its first item inline and allocates only when it first
+    // holds a second item (a 4-item block, doubled on later growth),
+    // so sets keep spilling for the first time during the measured
+    // window. Those one-time spills are most of what this gate counts;
+    // the budget still trips on anything that allocates per reference.
+    // The fig10-sized cache would still be absorbing first-touch set
+    // fills at these reference counts.
     short_cfg.l4.base.capacity = std::uint64_t{1} << 20;
     long_cfg.l4.base.capacity = std::uint64_t{1} << 20;
     long_cfg.warmup_refs_per_core = short_cfg.warmup_refs_per_core;

@@ -28,6 +28,25 @@ storeElem(Line &line, std::uint32_t k, std::uint32_t idx, std::uint64_t v)
     std::memcpy(line.data() + k * idx, &v, k);
 }
 
+/**
+ * a - b and a + b in wrapping int64 arithmetic, the codec's delta
+ * arithmetic (and simd::deltasFitI64's): 8-byte elements may lie
+ * farther apart than int64 can express.
+ */
+std::int64_t
+wrapSub(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                     static_cast<std::uint64_t>(b));
+}
+
+std::int64_t
+wrapAdd(std::int64_t a, std::int64_t b)
+{
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                     static_cast<std::uint64_t>(b));
+}
+
 } // namespace
 
 std::uint32_t
@@ -143,8 +162,7 @@ BdiCodec::compressInMode(const Line &line, Mode mode) const
             base = raw;
             base_set = true;
         }
-        const std::int64_t delta =
-            val - signExtend(base, 8 * k);
+        const std::int64_t delta = wrapSub(val, signExtend(base, 8 * k));
         if (!fitsSigned(delta, delta_bits))
             return std::nullopt;
         deltas[i] = delta;
@@ -202,7 +220,7 @@ BdiCodec::representable(const Line &line, Mode mode) const
             base_val = val;
             base_set = true;
         }
-        if (!fitsSigned(val - base_val, delta_bits))
+        if (!fitsSigned(wrapSub(val, base_val), delta_bits))
             return false;
     }
     return true;
@@ -325,7 +343,8 @@ BdiCodec::decompress(const Encoded &enc) const
     for (std::uint32_t i = 0; i < n_elem; ++i) {
         const std::int64_t delta = signExtend(br.read(8 * d), 8 * d);
         const bool immediate = (mask >> i) & 1;
-        const std::int64_t val = immediate ? delta : base_val + delta;
+        const std::int64_t val =
+            immediate ? delta : wrapAdd(base_val, delta);
         storeElem(line, k, i, static_cast<std::uint64_t>(val));
     }
     return line;

@@ -9,14 +9,17 @@ namespace dice
 {
 
 TadSet::TadSet(const TadSet &other)
-    : budget_bytes_(other.budget_bytes_), max_lines_(other.max_lines_),
-      tag_bytes_(other.tag_bytes_), bytes_used_(other.bytes_used_),
-      line_count_(other.line_count_), n_(other.n_)
+    : n_(other.n_), cap_(other.cap_), line_count_(other.line_count_),
+      max_lines_(other.max_lines_), tag_bytes_(other.tag_bytes_),
+      bytes_used_(other.bytes_used_), budget_bytes_(other.budget_bytes_)
 {
+    static_assert(sizeof(inline_) ==
+                  blockWords(kInlineItems) * sizeof(std::uint64_t));
+    std::memcpy(inline_, other.inline_, sizeof(inline_));
     if (other.block_) {
-        block_ = std::make_unique<std::uint64_t[]>(blockWords());
+        block_ = std::make_unique<std::uint64_t[]>(blockWords(cap_));
         std::memcpy(block_.get(), other.block_.get(),
-                    blockWords() * sizeof(std::uint64_t));
+                    blockWords(cap_) * sizeof(std::uint64_t));
     }
 }
 
@@ -31,10 +34,32 @@ TadSet::operator=(const TadSet &other)
 }
 
 void
-TadSet::ensureStorage()
+TadSet::grow()
 {
-    if (!block_)
-        block_ = std::make_unique<std::uint64_t[]>(blockWords());
+    const std::uint32_t limit = capacity();
+    std::uint32_t next =
+        cap_ == kInlineItems ? kFirstSpillItems : 2u * cap_;
+    if (next > limit)
+        next = limit;
+
+    // Point the plane accessors at a wider block, keeping the old
+    // planes (inline, or in the block held by `old`) to copy each live
+    // prefix from.
+    const std::uint64_t *from_keys = keys();
+    const std::uint64_t *from_lru = lru();
+    const PayloadPair *from_payloads = payloads();
+    const std::uint16_t *from_data_bytes = dataBytes();
+    const std::uint8_t *from_flags = flags();
+    const std::unique_ptr<std::uint64_t[]> old = std::move(block_);
+    block_ = std::make_unique<std::uint64_t[]>(blockWords(next));
+    cap_ = static_cast<std::uint8_t>(next);
+
+    const std::uint32_t n = n_;
+    std::memcpy(keys(), from_keys, n * sizeof(std::uint64_t));
+    std::memcpy(lru(), from_lru, n * sizeof(std::uint64_t));
+    std::memcpy(payloads(), from_payloads, n * sizeof(PayloadPair));
+    std::memcpy(dataBytes(), from_data_bytes, n * sizeof(std::uint16_t));
+    std::memcpy(flags(), from_flags, n);
 }
 
 void
@@ -155,14 +180,29 @@ TadSet::evictLru(LineAddr protect, WritebackList &writebacks)
 }
 
 void
+TadSet::account(std::uint32_t data_bytes, std::uint32_t lines)
+{
+    // Checked at full width: a narrow counter would wrap past the
+    // budget instead of exceeding it.
+    const std::uint32_t bytes = bytes_used_ + tag_bytes_ + data_bytes;
+    const std::uint32_t line_count = line_count_ + lines;
+    dice_assert(bytes <= budget_bytes_, "set overfull: %u bytes", bytes);
+    dice_assert(line_count <= max_lines_, "set overfull: %u lines",
+                line_count);
+    bytes_used_ = static_cast<std::uint16_t>(bytes);
+    line_count_ = static_cast<std::uint8_t>(line_count);
+}
+
+void
 TadSet::insertSingle(LineAddr line, std::uint32_t data_bytes, bool dirty,
                      std::uint64_t payload, bool bai,
                      std::uint64_t lru_stamp)
 {
     // Uniqueness (no duplicate resident line) is the caller's contract;
     // auditStorage() checks it off the hot path.
-    dice_assert(n_ < capacity(), "set overfull: %u items", n_ + 1);
-    ensureStorage();
+    dice_assert(n_ < capacity(), "set overfull: %u items", n_ + 1u);
+    if (n_ == cap_)
+        grow();
     std::uint8_t f = kValid0;
     if (dirty)
         f |= kDirty0;
@@ -176,13 +216,7 @@ TadSet::insertSingle(LineAddr line, std::uint32_t data_bytes, bool dirty,
     payloads()[i] = PayloadPair{{payload, 0}};
     dataBytes()[i] = static_cast<std::uint16_t>(data_bytes);
     flags()[i] = f;
-    bytes_used_ += tag_bytes_ + data_bytes;
-    ++line_count_;
-
-    dice_assert(bytes_used_ <= budget_bytes_, "set overfull: %u bytes",
-                bytes_used_);
-    dice_assert(line_count_ <= max_lines_, "set overfull: %u lines",
-                line_count_);
+    account(data_bytes, 1);
 }
 
 void
@@ -194,8 +228,9 @@ TadSet::insertPair(LineAddr base, std::uint32_t data_bytes, bool dirty0,
     dice_assert((base & 1) == 0, "pair base must be even");
     // Uniqueness (no duplicate resident line) is the caller's contract;
     // auditStorage() checks it off the hot path.
-    dice_assert(n_ < capacity(), "set overfull: %u items", n_ + 1);
-    ensureStorage();
+    dice_assert(n_ < capacity(), "set overfull: %u items", n_ + 1u);
+    if (n_ == cap_)
+        grow();
     std::uint8_t f = kPair | kValid0 | kValid1;
     if (dirty0)
         f |= kDirty0;
@@ -209,19 +244,14 @@ TadSet::insertPair(LineAddr base, std::uint32_t data_bytes, bool dirty0,
     payloads()[i] = PayloadPair{{payload0, payload1}};
     dataBytes()[i] = static_cast<std::uint16_t>(data_bytes);
     flags()[i] = f;
-    bytes_used_ += tag_bytes_ + data_bytes;
-    line_count_ += 2;
-
-    dice_assert(bytes_used_ <= budget_bytes_, "set overfull: %u bytes",
-                bytes_used_);
-    dice_assert(line_count_ <= max_lines_, "set overfull: %u lines",
-                line_count_);
+    account(data_bytes, 2);
 }
 
 bool
 TadSet::auditStorage() const
 {
-    if (n_ > capacity() || (n_ != 0 && !block_))
+    if (n_ > cap_ || cap_ > capacity() ||
+        (cap_ != kInlineItems && !block_))
         return false;
 
     const std::uint32_t payload_bytes = simd::sumU16(dataBytes(), n_);

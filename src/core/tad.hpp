@@ -11,16 +11,19 @@
  * under BDI, a single base — that is what lets two lines fit when their
  * joint payload is <= 68 B. At most 28 logical lines fit in one set.
  *
- * Storage is structure-of-arrays in a single fixed-capacity arena
- * block per set: the per-item fields live in lockstep packed planes
- * (scan keys, LRU stamps, data-version payloads, payload byte counts,
- * flag bytes) at fixed offsets inside one allocation, so each
- * operation touches only the planes it needs and a probe stays within
- * one heap block — the tag probe scans keys + a flag byte per rare
+ * Storage is structure-of-arrays: the per-item fields live in lockstep
+ * packed planes (scan keys, LRU stamps, data-version payloads, payload
+ * byte counts, flag bytes) of one block whose plane stride is the
+ * block's current item capacity, so each operation touches only the
+ * planes it needs — the tag probe scans keys + a flag byte per rare
  * key match, the LRU victim scan reads the lru plane alone, and the
- * byte audit sums the data_bytes plane. The dense planes are what the
- * simd::matchMaskU64 / simd::minIndexU64 kernels scan (see
- * common/simd.hpp); their scalar fallbacks keep behavior bit-identical.
+ * byte audit sums the data_bytes plane. Most DICE and Touché sets
+ * hold one item, so the first item's planes live inline in the 64-B
+ * set object, and a probe of such a set reads nothing else; a second
+ * item spills the planes to a heap block sized to occupancy (see
+ * grow()). The dense planes are what the simd::matchMaskU64 /
+ * simd::minIndexU64 kernels scan (see common/simd.hpp); their scalar
+ * fallbacks keep behavior bit-identical.
  */
 
 #ifndef DICE_CORE_TAD_HPP
@@ -82,13 +85,24 @@ class TadSet
     explicit TadSet(std::uint32_t budget_bytes = kTadSetBytes,
                     std::uint32_t max_lines = kTadMaxLines,
                     std::uint32_t tag_bytes = kTadTagBytes)
-        : budget_bytes_(budget_bytes), max_lines_(max_lines),
-          tag_bytes_(tag_bytes)
+        : max_lines_(static_cast<std::uint8_t>(max_lines)),
+          tag_bytes_(static_cast<std::uint8_t>(tag_bytes)),
+          budget_bytes_(static_cast<std::uint16_t>(budget_bytes))
     {
+        // Inline, so a cache's default-constructed set array builds in
+        // a store loop. The counters are narrow, and the key-match mask
+        // has one bit per item, so a set may hold at most 64.
+        dice_assert(budget_bytes <= 0xFFFF && max_lines >= 1 &&
+                        max_lines <= 0xFF && tag_bytes >= 1 &&
+                        tag_bytes <= budget_bytes && tag_bytes <= 0xFF &&
+                        capacity() <= 64,
+                    "TAD geometry %u/%u/%u out of range", budget_bytes,
+                    max_lines, tag_bytes);
     }
 
-    // The arena block makes the set move-only by default; SCC
-    // fill-constructs its sets from a prototype, so deep-copy too.
+    // The heap block makes the set move-only by default; SCC and
+    // Touché fill-construct their sets from a prototype, so deep-copy
+    // too.
     TadSet(const TadSet &other);
     TadSet &operator=(const TadSet &other);
     TadSet(TadSet &&) noexcept = default;
@@ -305,63 +319,78 @@ class TadSet
         return by_tags < max_lines_ ? by_tags : max_lines_;
     }
 
-    // Plane accessors into the arena block. Layout (c = capacity()):
+    /** Items the inline buffer holds before the planes spill. */
+    static constexpr std::uint32_t kInlineItems = 1;
+    /** Item capacity of the first heap block; later blocks double. */
+    static constexpr std::uint32_t kFirstSpillItems = 4;
+
+    /** 64-bit words a block of @p c items spans (35 bytes per item). */
+    static constexpr std::size_t
+    blockWords(std::uint32_t c)
+    {
+        return (35u * c + 7u) / 8u;
+    }
+
+    /** The live block: the inline buffer until the first spill. */
+    std::uint64_t *
+    base()
+    {
+        return cap_ == kInlineItems ? inline_ : block_.get();
+    }
+    const std::uint64_t *
+    base() const
+    {
+        return cap_ == kInlineItems ? inline_ : block_.get();
+    }
+
+    // Plane accessors into the live block. Layout (c = cap_):
     // [0, 8c) keys | [8c, 16c) lru | [16c, 32c) payloads |
     // [32c, 34c) data_bytes | [34c, 35c) flags. All plane starts are
     // 2-byte-aligned or better for their element type.
-    std::uint64_t *keys() { return block_.get(); }
-    const std::uint64_t *keys() const { return block_.get(); }
-    std::uint64_t *lru() { return block_.get() + capacity(); }
-    const std::uint64_t *lru() const
-    {
-        return block_.get() + capacity();
-    }
+    std::uint64_t *keys() { return base(); }
+    const std::uint64_t *keys() const { return base(); }
+    std::uint64_t *lru() { return base() + cap_; }
+    const std::uint64_t *lru() const { return base() + cap_; }
     PayloadPair *
     payloads()
     {
-        return reinterpret_cast<PayloadPair *>(block_.get() +
-                                               2 * capacity());
+        return reinterpret_cast<PayloadPair *>(base() + 2 * cap_);
     }
     const PayloadPair *
     payloads() const
     {
-        return reinterpret_cast<const PayloadPair *>(block_.get() +
-                                                     2 * capacity());
+        return reinterpret_cast<const PayloadPair *>(base() + 2 * cap_);
     }
     std::uint16_t *
     dataBytes()
     {
-        return reinterpret_cast<std::uint16_t *>(block_.get() +
-                                                 4 * capacity());
+        return reinterpret_cast<std::uint16_t *>(base() + 4 * cap_);
     }
     const std::uint16_t *
     dataBytes() const
     {
-        return reinterpret_cast<const std::uint16_t *>(block_.get() +
-                                                       4 * capacity());
+        return reinterpret_cast<const std::uint16_t *>(base() +
+                                                       4 * cap_);
     }
     std::uint8_t *
     flags()
     {
-        return reinterpret_cast<std::uint8_t *>(dataBytes() +
-                                                capacity());
+        return reinterpret_cast<std::uint8_t *>(dataBytes() + cap_);
     }
     const std::uint8_t *
     flags() const
     {
         return reinterpret_cast<const std::uint8_t *>(dataBytes() +
-                                                      capacity());
+                                                      cap_);
     }
 
-    /** 64-bit words the arena block spans (35 bytes per item). */
-    std::size_t
-    blockWords() const
-    {
-        return (35u * capacity() + 7u) / 8u;
-    }
-
-    /** Allocate the arena on first insert (empty sets stay heap-free). */
-    void ensureStorage();
+    /**
+     * Make room for one more item: move the planes to a block of
+     * kFirstSpillItems items, then of twice the current capacity,
+     * clamped to capacity(). Blocks never shrink, so a set that has
+     * grown once stays allocation-free.
+     */
+    void grow();
 
     /** True when item @p i (whose key already matched) holds @p line. */
     bool
@@ -407,16 +436,28 @@ class TadSet
 
     void eraseAt(std::uint32_t i);
 
-    std::uint32_t budget_bytes_;
-    std::uint32_t max_lines_;
-    std::uint32_t tag_bytes_;
-    std::uint32_t bytes_used_ = 0;
-    std::uint32_t line_count_ = 0;
+    /** Charge one inserted item's tag, payload and lines. */
+    void account(std::uint32_t data_bytes, std::uint32_t lines);
+
+    /** The planes of the first kInlineItems items (35 of 40 B used). */
+    std::uint64_t inline_[5]{};
     /** Resident item count (live prefix length of every plane). */
-    std::uint32_t n_ = 0;
-    /** One allocation holding all five planes (see plane accessors). */
+    std::uint8_t n_ = 0;
+    /** Items the live block holds: the stride of every plane. */
+    std::uint8_t cap_ = kInlineItems;
+    std::uint8_t line_count_ = 0;
+    std::uint8_t max_lines_;
+    std::uint8_t tag_bytes_;
+    std::uint16_t bytes_used_ = 0;
+    std::uint16_t budget_bytes_;
+    /** The spilled planes once the set has held a second item. */
     std::unique_ptr<std::uint64_t[]> block_;
 };
+
+// A probe of an inline set reads only this record: keep it one cache
+// line wide. (Not alignas(64): std::vector would then allocate the
+// sets through the aligned-allocation path; see DESIGN.md §5b.)
+static_assert(sizeof(TadSet) == 64, "TadSet must stay a 64-B record");
 
 } // namespace dice
 

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "workloads/trace_file.hpp"
 
@@ -22,7 +25,12 @@ class TraceFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "dice_trace_test.txt";
+        // One file per test and process: ctest -j runs these tests
+        // concurrently, and a shared name lets them clobber each other.
+        const char *test =
+            ::testing::UnitTest::GetInstance()->current_test_info()->name();
+        path_ = ::testing::TempDir() + "dice_trace_test." + test + "." +
+                std::to_string(::getpid()) + ".txt";
     }
 
     void TearDown() override { std::remove(path_.c_str()); }
