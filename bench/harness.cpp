@@ -25,7 +25,6 @@
 #include "common/stats.hpp"
 #include "common/sweep_events.hpp"
 #include "common/telemetry.hpp"
-#include "common/trace_events.hpp"
 
 #ifdef _WIN32
 #include <process.h>
@@ -168,18 +167,6 @@ resultCache()
  *  cache-loaded cells do no simulation work). Feeds the progress
  *  line's refs/sec figure. */
 std::atomic<std::uint64_t> g_simulated_refs{0};
-
-/** Rendered trace-event args for a cell span. */
-std::string
-cellArgsJson(const std::string &workload, const std::string &cache_key)
-{
-    std::string args = "{\"workload\": \"";
-    appendJsonEscaped(args, workload);
-    args += "\", \"org\": \"";
-    appendJsonEscaped(args, cache_key);
-    args += "\"}";
-    return args;
-}
 
 /**
  * Export one freshly-simulated cell's stat registry when
@@ -985,8 +972,6 @@ runCellsWorker(const std::vector<const SimCell *> &work,
     }
 
     runCellsQueueParticipant(work, batch, m.worker_index, m.workers);
-    if (TraceLog::instance().enabled())
-        TraceLog::instance().flush();
     std::exit(0);
 }
 
@@ -1227,14 +1212,7 @@ runWorkload(const std::string &workload, const SystemConfig &config,
         }
         const std::string stem =
             sanitizeFileStem(workload + "_" + cache_key);
-        SweepJournal &jr = SweepJournal::instance();
-        SweepMetrics &sm = SweepMetrics::instance();
-        const auto cell_t0 = std::chrono::steady_clock::now();
-        const std::uint64_t cell_m0 = jr.enabled() ? jr.monoUs() : 0;
-        if (jr.enabled())
-            jr.begin("cell", stem);
-        TraceSpan cell_span("cell", workload + "/" + cache_key,
-                            cellArgsJson(workload, cache_key));
+        JournalSpan cell_span("cell", stem);
         std::vector<WorkloadProfile> profiles =
             workloadProfiles(workload, config.num_cores);
         // Reference streams depend only on (workload, seed, cores,
@@ -1243,12 +1221,7 @@ runWorkload(const std::string &workload, const SystemConfig &config,
         // organization column replays it.
         std::shared_ptr<const TraceSet> replay;
         {
-            const auto gen_t0 = std::chrono::steady_clock::now();
-            const std::uint64_t gen_m0 =
-                jr.enabled() ? jr.monoUs() : 0;
-            if (jr.enabled())
-                jr.begin("generate", stem);
-            TraceSpan gen_span("generate", workload);
+            JournalSpan span("generate", stem);
             // +1: the simulator primes one reference ahead of the
             // warmup + measurement budget.
             replay = TraceArena::instance().acquire(
@@ -1256,39 +1229,16 @@ runWorkload(const std::string &workload, const SystemConfig &config,
                 config.reference_capacity,
                 config.warmup_refs_per_core + config.refs_per_core + 1,
                 profiles, benchJobs());
-            const std::uint64_t gen_us = elapsedUs(gen_t0);
-            sm.sample(SweepPhase::Generate, gen_us);
-            if (jr.enabled())
-                jr.phase("generate", stem, gen_m0, gen_us);
         }
         System sys(config, std::move(profiles), std::move(replay));
         {
-            const auto sim_t0 = std::chrono::steady_clock::now();
-            const std::uint64_t sim_m0 =
-                jr.enabled() ? jr.monoUs() : 0;
-            if (jr.enabled())
-                jr.begin("simulate", stem);
-            TraceSpan sim_span("simulate", workload + "/" + cache_key);
+            JournalSpan span("simulate", stem);
             computed = sys.run();
-            const std::uint64_t sim_us = elapsedUs(sim_t0);
-            sm.sample(SweepPhase::Simulate, sim_us);
-            if (jr.enabled())
-                jr.phase("simulate", stem, sim_m0, sim_us);
         }
         {
-            const auto exp_t0 = std::chrono::steady_clock::now();
-            const std::uint64_t exp_m0 =
-                jr.enabled() ? jr.monoUs() : 0;
+            JournalSpan span("export", stem);
             exportCellStats(sys, workload, cache_key);
-            const std::uint64_t exp_us = elapsedUs(exp_t0);
-            sm.sample(SweepPhase::Export, exp_us);
-            if (jr.enabled())
-                jr.phase("export", stem, exp_m0, exp_us);
         }
-        const std::uint64_t cell_us = elapsedUs(cell_t0);
-        sm.sample(SweepPhase::Cell, cell_us);
-        if (jr.enabled())
-            jr.phase("cell", stem, cell_m0, cell_us);
         g_simulated_refs.fetch_add(
             (config.warmup_refs_per_core + config.refs_per_core) *
                 config.num_cores,
@@ -1393,21 +1343,6 @@ initSweepMode(int argc, char **argv)
             dice_warn("sweep: cannot silence --join stdout");
         }
     }
-    if (m.role == SweepMode::Role::Worker ||
-        m.role == SweepMode::Role::Join) {
-        // Per-participant Chrome trace documents; initSweepMode runs
-        // before anything constructs the TraceLog, so the env is
-        // still live.
-        const char *env = std::getenv("DICE_TRACE_OUT");
-        if (env != nullptr && env[0] != '\0') {
-            const std::string path =
-                std::string(env) +
-                (m.role == SweepMode::Role::Worker
-                     ? ".worker" + std::to_string(m.worker_index)
-                     : ".join" + std::to_string(claimPid()));
-            setenv("DICE_TRACE_OUT", path.c_str(), 1);
-        }
-    }
 #endif
 }
 
@@ -1465,11 +1400,6 @@ runSweep(const std::vector<std::string> &workloads,
             cells.push_back(SimCell{w, org.config, org.cache_key});
     }
     runCells(cells);
-    // Make the Chrome trace durable after every sweep, not only at
-    // process exit: each flush appends the new events and re-closes
-    // the document, so the file stays valid at every point.
-    if (TraceLog::instance().enabled())
-        TraceLog::instance().flush();
 }
 
 double

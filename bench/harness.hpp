@@ -25,8 +25,9 @@
  * Observability (all off by default; see README "Telemetry"):
  *  - DICE_STATS_JSON / DICE_STATS_CSV: per-cell stat-registry export
  *    into the named directory, one document per fresh cell.
- *  - DICE_TRACE_OUT: Chrome trace-event JSON of per-worker cell
- *    generate/simulate spans (view in Perfetto).
+ *  - DICE_SWEEP_RESULTS: also makes a serial run journal its spans
+ *    and write <dir>/timeline.json, a Chrome trace-event timeline of
+ *    every cell's phases on per-thread lanes (view in Perfetto).
  *  - DICE_PROGRESS=1: progress line with cells done/total, refs/sec,
  *    and trace-arena residency.
  */

@@ -492,8 +492,10 @@ runCheck()
     // Sweep-journal hot-path hooks: with no journal open (every
     // process that writes no sweep results directory, such as this
     // one) every emitter must early-return before touching the heap,
-    // so instrumenting the per-cell loop is free for ordinary bench
-    // runs. Hard zero, not a budget.
+    // and a JournalSpan may only sample SweepMetrics (a metric phase)
+    // or nothing at all (any other phase), so instrumenting the
+    // per-cell loop is free for ordinary bench runs. Hard zero, not a
+    // budget.
     {
         dice::SweepJournal &journal = dice::SweepJournal::instance();
         const std::string cell = "mcf_dice";
@@ -504,14 +506,16 @@ runCheck()
             journal.begin("simulate", cell);
             journal.phase("simulate", cell, 0, 42);
             journal.lease("refresh", cell, 3);
-            journal.arena("disk_hit", cell);
+            journal.arena("disk_hit", cell, 4096);
             journal.publish(cell);
             journal.batch(1, 40, 4, 900);
+            dice::JournalSpan span("simulate", cell);
+            dice::JournalSpan inner("measure");
         }
         const std::size_t hook_allocs =
             g_heap_allocs.load(std::memory_order_relaxed) - start;
         std::printf("  disabled journal hooks: %zu allocs across 70k "
-                    "emits (budget 0)\n",
+                    "emits and 20k spans (budget 0)\n",
                     hook_allocs);
         if (hook_allocs != 0) {
             std::printf("  FAIL: disabled sweep-journal emitters touch "

@@ -6,8 +6,9 @@
  *
  * Reads every participant event journal under <results_dir>/events
  * (every process that writes a sweep results directory keeps one) and
- * merges them into one Chrome trace-event document — a lane per
- * participant, clocks aligned across processes/hosts — at out.json
+ * merges them into one Chrome trace-event document — a process lane
+ * per participant and a thread lane per journalling thread, clocks
+ * aligned across processes/hosts — at out.json
  * (default: <results_dir>/timeline.json). Load the output in
  * chrome://tracing or https://ui.perfetto.dev.
  *

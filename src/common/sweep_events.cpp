@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cstdarg>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <string_view>
 #include <utility>
 
 #include "common/claim_file.hpp"
@@ -27,6 +29,54 @@ wallMicroseconds()
             std::chrono::system_clock::now().time_since_epoch())
             .count());
 }
+
+/** @p s as the body of a JSON string. */
+std::string
+escaped(const std::string &s)
+{
+    std::string out;
+    appendJsonEscaped(out, s);
+    return out;
+}
+
+/**
+ * The calling thread's lane: a small index handed out in order of
+ * each thread's first journal record, so a participant's lanes are
+ * numbered 0, 1, 2, ... however the OS numbers its threads.
+ */
+std::uint32_t
+journalLane()
+{
+    static std::atomic<std::uint32_t> next{0};
+    thread_local const std::uint32_t lane =
+        next.fetch_add(1, std::memory_order_relaxed);
+    return lane;
+}
+
+/** The span phases SweepMetrics samples and the fold histograms, by
+ *  their journal phase name. */
+constexpr std::pair<const char *, SweepPhase> kPhaseRecords[] = {
+    {"generate", SweepPhase::Generate},
+    {"simulate", SweepPhase::Simulate},
+    {"export", SweepPhase::Export},
+    {"cell", SweepPhase::Cell},
+};
+
+std::optional<SweepPhase>
+metricPhase(std::string_view phase)
+{
+    for (const auto &[name, p] : kPhaseRecords) {
+        if (phase == name)
+            return p;
+    }
+    return std::nullopt;
+}
+
+/** The cell a span without one journals when no span encloses it. */
+const std::string kNoCell;
+
+/** The innermost open span's cell on this thread (journal open). */
+thread_local const std::string *t_span_cell = nullptr;
 
 } // namespace
 
@@ -138,10 +188,10 @@ SweepJournal::open(const std::filesystem::path &events_dir,
     char buf[512];
     std::snprintf(buf, sizeof buf,
                   "{\"ev\":\"epoch\",\"participant\":\"%s\","
-                  "\"pid\":%ld,\"host\":\"%s\","
-                  "\"wall_us\":%" PRIu64 ",\"mono_us\":0}\n",
+                  "\"pid\":%ld,\"host\":\"%s\",\"tid\":%" PRIu32
+                  ",\"wall_us\":%" PRIu64 ",\"mono_us\":0}\n",
                   participant_.c_str(), claimPid(), host.c_str(),
-                  wallMicroseconds());
+                  journalLane(), wallMicroseconds());
     std::fputs(buf, file_);
     std::fflush(file_);
     enabled_.store(true, std::memory_order_relaxed);
@@ -160,142 +210,161 @@ SweepJournal::close()
 }
 
 std::uint64_t
-SweepJournal::monoUs() const
+SweepJournal::monoUs(std::chrono::steady_clock::time_point t) const
 {
+    if (t <= mono_epoch_)
+        return 0;
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - mono_epoch_)
+            t - mono_epoch_)
             .count());
 }
 
 void
-SweepJournal::writeRecord(const char *body)
+SweepJournal::writeRecord(const char *format, ...)
 {
+    char fields[512];
+    std::va_list args;
+    va_start(args, format);
+    std::vsnprintf(fields, sizeof fields, format, args);
+    va_end(args);
+    const std::uint64_t wall = wallMicroseconds();
+    const std::uint64_t mono = monoUs(std::chrono::steady_clock::now());
+    const std::uint32_t tid = journalLane();
     // One record per line, flushed immediately: a SIGKILLed worker's
     // journal is complete up to its final event, which is exactly
     // what the post-mortem timeline needs.
     std::lock_guard lock(mu_);
     if (file_ == nullptr)
         return;
-    std::fputs(body, file_);
+    std::fprintf(file_,
+                 "{%s,\"tid\":%" PRIu32 ",\"wall_us\":%" PRIu64
+                 ",\"mono_us\":%" PRIu64 "}\n",
+                 fields, tid, wall, mono);
     std::fflush(file_);
 }
 
 void
 SweepJournal::mark(const char *name, const std::string &detail)
 {
-    if (!enabled())
-        return;
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "{\"ev\":\"mark\",\"name\":\"%s\",\"detail\":\"%s\","
-                  "\"wall_us\":%" PRIu64 ",\"mono_us\":%" PRIu64 "}\n",
-                  name, detail.c_str(), wallMicroseconds(), monoUs());
-    writeRecord(buf);
+    if (enabled())
+        writeRecord("\"ev\":\"mark\",\"name\":\"%s\",\"detail\":\"%s\"",
+                    name, escaped(detail).c_str());
 }
 
 void
 SweepJournal::claim(const std::string &cell, bool stolen, bool requeued,
                     std::uint64_t wait_us, std::uint64_t acquire_us)
 {
-    if (!enabled())
-        return;
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "{\"ev\":\"claim\",\"cell\":\"%s\",\"stolen\":%d,"
-                  "\"requeued\":%d,\"wait_us\":%" PRIu64
-                  ",\"acquire_us\":%" PRIu64 ",\"wall_us\":%" PRIu64
-                  ",\"mono_us\":%" PRIu64 "}\n",
-                  cell.c_str(), stolen ? 1 : 0, requeued ? 1 : 0,
-                  wait_us, acquire_us, wallMicroseconds(), monoUs());
-    writeRecord(buf);
+    if (enabled())
+        writeRecord("\"ev\":\"claim\",\"cell\":\"%s\",\"stolen\":%d,"
+                    "\"requeued\":%d,\"wait_us\":%" PRIu64
+                    ",\"acquire_us\":%" PRIu64,
+                    escaped(cell).c_str(), stolen ? 1 : 0,
+                    requeued ? 1 : 0, wait_us, acquire_us);
 }
 
 void
 SweepJournal::begin(const char *phase, const std::string &cell)
 {
-    if (!enabled())
-        return;
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "{\"ev\":\"begin\",\"phase\":\"%s\",\"cell\":\"%s\","
-                  "\"wall_us\":%" PRIu64 ",\"mono_us\":%" PRIu64 "}\n",
-                  phase, cell.c_str(), wallMicroseconds(), monoUs());
-    writeRecord(buf);
+    if (enabled())
+        writeRecord("\"ev\":\"begin\",\"phase\":\"%s\",\"cell\":\"%s\"",
+                    phase, escaped(cell).c_str());
 }
 
 void
 SweepJournal::phase(const char *phase, const std::string &cell,
                     std::uint64_t start_mono_us, std::uint64_t dur_us)
 {
-    if (!enabled())
-        return;
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "{\"ev\":\"phase\",\"phase\":\"%s\",\"cell\":\"%s\","
-                  "\"start_us\":%" PRIu64 ",\"dur_us\":%" PRIu64
-                  ",\"wall_us\":%" PRIu64 ",\"mono_us\":%" PRIu64 "}\n",
-                  phase, cell.c_str(), start_mono_us, dur_us,
-                  wallMicroseconds(), monoUs());
-    writeRecord(buf);
+    if (enabled())
+        writeRecord("\"ev\":\"phase\",\"phase\":\"%s\",\"cell\":\"%s\","
+                    "\"start_us\":%" PRIu64 ",\"dur_us\":%" PRIu64,
+                    phase, escaped(cell).c_str(), start_mono_us, dur_us);
 }
 
 void
 SweepJournal::publish(const std::string &cell)
 {
-    if (!enabled())
-        return;
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "{\"ev\":\"publish\",\"cell\":\"%s\","
-                  "\"wall_us\":%" PRIu64 ",\"mono_us\":%" PRIu64 "}\n",
-                  cell.c_str(), wallMicroseconds(), monoUs());
-    writeRecord(buf);
+    if (enabled())
+        writeRecord("\"ev\":\"publish\",\"cell\":\"%s\"",
+                    escaped(cell).c_str());
 }
 
 void
 SweepJournal::lease(const char *op, const std::string &cell,
                     std::uint64_t dur_us)
 {
-    if (!enabled())
-        return;
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "{\"ev\":\"lease\",\"op\":\"%s\",\"cell\":\"%s\","
-                  "\"dur_us\":%" PRIu64 ",\"wall_us\":%" PRIu64
-                  ",\"mono_us\":%" PRIu64 "}\n",
-                  op, cell.c_str(), dur_us, wallMicroseconds(),
-                  monoUs());
-    writeRecord(buf);
+    if (enabled())
+        writeRecord("\"ev\":\"lease\",\"op\":\"%s\",\"cell\":\"%s\","
+                    "\"dur_us\":%" PRIu64,
+                    op, escaped(cell).c_str(), dur_us);
 }
 
 void
-SweepJournal::arena(const char *op, const std::string &key)
+SweepJournal::arena(const char *op, const std::string &key,
+                    std::uint64_t bytes)
 {
-    if (!enabled())
-        return;
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "{\"ev\":\"arena\",\"op\":\"%s\",\"key\":\"%s\","
-                  "\"wall_us\":%" PRIu64 ",\"mono_us\":%" PRIu64 "}\n",
-                  op, key.c_str(), wallMicroseconds(), monoUs());
-    writeRecord(buf);
+    if (enabled())
+        writeRecord("\"ev\":\"arena\",\"op\":\"%s\",\"key\":\"%s\","
+                    "\"bytes\":%" PRIu64,
+                    op, escaped(key).c_str(), bytes);
 }
 
 void
 SweepJournal::batch(unsigned long batch, std::size_t cells,
                     unsigned jobs, std::uint64_t span_us)
 {
-    if (!enabled())
+    if (enabled())
+        writeRecord("\"ev\":\"batch\",\"batch\":%lu,\"cells\":%zu,"
+                    "\"jobs\":%u,\"span_us\":%" PRIu64,
+                    batch, cells, jobs, span_us);
+}
+
+// ---------------------------------------------------------------------
+// JournalSpan.
+
+JournalSpan::JournalSpan(const char *phase, const std::string &cell)
+    : JournalSpan(phase, &cell)
+{
+}
+
+JournalSpan::JournalSpan(const char *phase) : JournalSpan(phase, nullptr)
+{
+}
+
+JournalSpan::JournalSpan(const char *phase, const std::string *cell)
+    : phase_(phase), journal_(SweepJournal::instance().enabled()),
+      metric_(metricPhase(phase))
+{
+    if (!journal_ && !metric_)
         return;
-    char buf[512];
-    std::snprintf(buf, sizeof buf,
-                  "{\"ev\":\"batch\",\"batch\":%lu,\"cells\":%zu,"
-                  "\"jobs\":%u,\"span_us\":%" PRIu64
-                  ",\"wall_us\":%" PRIu64 ",\"mono_us\":%" PRIu64 "}\n",
-                  batch, cells, jobs, span_us, wallMicroseconds(),
-                  monoUs());
-    writeRecord(buf);
+    if (journal_) {
+        outer_cell_ = t_span_cell;
+        cell_ = cell != nullptr         ? cell
+                : outer_cell_ != nullptr ? outer_cell_
+                                         : &kNoCell;
+        t_span_cell = cell_;
+        SweepJournal::instance().begin(phase_, *cell_);
+    }
+    t0_ = std::chrono::steady_clock::now();
+}
+
+JournalSpan::~JournalSpan()
+{
+    if (!journal_ && !metric_)
+        return;
+    // Start and end both floor onto the journal's microsecond clock,
+    // so a span that ends inside its parent is drawn inside it.
+    SweepJournal &jr = SweepJournal::instance();
+    const std::uint64_t start = jr.monoUs(t0_);
+    const std::uint64_t dur =
+        jr.monoUs(std::chrono::steady_clock::now()) - start;
+    if (metric_)
+        SweepMetrics::instance().sample(*metric_, dur);
+    if (journal_) {
+        jr.phase(phase_, *cell_, start, dur);
+        t_span_cell = outer_cell_;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -449,6 +518,10 @@ parseJournalLine(const std::string &line, JournalEvent &out)
             out.jobs = toU64(value);
         else if (key == "span_us")
             out.span_us = toU64(value);
+        else if (key == "bytes")
+            out.bytes = toU64(value);
+        else if (key == "tid")
+            out.tid = static_cast<std::uint32_t>(toU64(value));
         else if (key == "pid")
             out.pid = std::strtol(value.c_str(), nullptr, 10);
         else if (key == "stolen")
@@ -528,19 +601,6 @@ readJournals(const std::filesystem::path &events_dir)
 // ---------------------------------------------------------------------
 // The fold.
 
-namespace
-{
-
-/** Phase records the fold histograms, by their journal phase name. */
-constexpr std::pair<const char *, SweepPhase> kPhaseRecords[] = {
-    {"generate", SweepPhase::Generate},
-    {"simulate", SweepPhase::Simulate},
-    {"export", SweepPhase::Export},
-    {"cell", SweepPhase::Cell},
-};
-
-} // namespace
-
 double
 ParticipantFold::utilization() const
 {
@@ -598,10 +658,8 @@ foldJournal(const ParticipantJournal &journal)
         } else if (e.ev == "publish") {
             ++f.cells;
         } else if (e.ev == "phase") {
-            for (const auto &[name, p] : kPhaseRecords) {
-                if (e.phase == name)
-                    hist(p).sample(e.dur_us);
-            }
+            if (const std::optional<SweepPhase> p = metricPhase(e.phase))
+                hist(*p).sample(e.dur_us);
             if (e.phase == "cell") {
                 f.busy_us += e.dur_us;
                 open_busy_us += e.dur_us;
@@ -777,8 +835,8 @@ relaxOffsets(std::vector<ParticipantJournal> &journals)
 void
 appendTraceEvent(std::string &out, bool &first, const char *name,
                  const char *cat, const char *ph, double ts,
-                 std::size_t pid, const std::string &args_json,
-                 std::uint64_t dur_us = 0)
+                 std::size_t pid, std::uint32_t tid,
+                 const std::string &args_json, std::uint64_t dur_us = 0)
 {
     out += first ? "\n" : ",\n";
     first = false;
@@ -800,7 +858,8 @@ appendTraceEvent(std::string &out, bool &first, const char *name,
         out += ", \"s\": \"t\"";
     out += ", \"pid\": ";
     out += std::to_string(pid);
-    out += ", \"tid\": 0";
+    out += ", \"tid\": ";
+    out += std::to_string(tid);
     if (!args_json.empty()) {
         out += ", \"args\": ";
         out += args_json;
@@ -875,7 +934,7 @@ mergeSweepTimeline(const std::filesystem::path &events_dir,
                 const double start =
                     alignedUs(p, e.segment, e.start_us) - t0;
                 appendTraceEvent(out, first, e.phase.c_str(), "phase",
-                                 "X", start, j, cellArg(e.cell),
+                                 "X", start, j, e.tid, cellArg(e.cell),
                                  e.dur_us);
             } else if (e.ev == "claim") {
                 const char *name = e.requeued ? "requeue"
@@ -887,26 +946,28 @@ mergeSweepTimeline(const std::filesystem::path &events_dir,
                 args += std::to_string(e.wait_us);
                 args += "}";
                 appendTraceEvent(out, first, name, "sweep", "i", ts, j,
-                                 args);
+                                 e.tid, args);
             } else if (e.ev == "publish") {
                 appendTraceEvent(out, first, "publish", "sweep", "i",
-                                 ts, j, cellArg(e.cell));
+                                 ts, j, e.tid, cellArg(e.cell));
             } else if (e.ev == "lease") {
                 const std::string name = "lease_" + e.op;
                 appendTraceEvent(out, first, name.c_str(), "lease",
-                                 "i", ts, j, cellArg(e.cell));
+                                 "i", ts, j, e.tid, cellArg(e.cell));
             } else if (e.ev == "arena") {
                 std::string args = "{\"key\": \"";
                 appendJsonEscaped(args, e.key);
-                args += "\"}";
+                args += "\", \"bytes\": ";
+                args += std::to_string(e.bytes);
+                args += "}";
                 appendTraceEvent(out, first, e.op.c_str(), "arena",
-                                 "i", ts, j, args);
+                                 "i", ts, j, e.tid, args);
             } else if (e.ev == "mark") {
                 std::string args = "{\"detail\": \"";
                 appendJsonEscaped(args, e.detail);
                 args += "\"}";
                 appendTraceEvent(out, first, e.name.c_str(), "sweep",
-                                 "i", ts, j, args);
+                                 "i", ts, j, e.tid, args);
             } else {
                 continue; // begin/batch/unknown: status-fold only
             }

@@ -11,25 +11,34 @@
  * a serial run that sets DICE_SWEEP_RESULTS — appends structured
  * events to its own journal `<results>/events/<participant>.jsonl`:
  *
- *   {"ev":"epoch","participant":..,"pid":..,"host":..,
+ *   {"ev":"epoch","participant":..,"pid":..,"host":..,"tid":..,
  *    "wall_us":..,"mono_us":..}            first record per process
  *   {"ev":"mark","name":..,"detail":..,...}    e.g. worker spawns
  *   {"ev":"claim","cell":..,"stolen":0|1,"requeued":0|1,
  *    "wait_us":..,"acquire_us":..,...}     queue claim (requeued=1:
  *                                          acquired by breaking a
  *                                          dead holder's lease)
- *   {"ev":"begin","phase":..,"cell":..,...}    phase entry (lets a
+ *   {"ev":"begin","phase":..,"cell":..,...}    span entry (lets a
  *                                          live tail show in-flight
  *                                          work and a post-mortem
  *                                          show where a worker died)
  *   {"ev":"phase","phase":..,"cell":..,"start_us":..,"dur_us":..,...}
+ *                                          span exit (JournalSpan)
  *   {"ev":"publish","cell":..,...}
  *   {"ev":"lease","op":"refresh"|"break"|"release","cell":..,
  *    "dur_us":..,...}
- *   {"ev":"arena","op":"disk_hit"|"generate"|"spill","key":..,...}
+ *   {"ev":"arena","op":"disk_hit"|"generate"|"spill"|"evict",
+ *    "key":..,"bytes":..,...}              trace-arena stream traffic
  *   {"ev":"batch","batch":..,"cells":..,"jobs":..,"span_us":..,...}
  *                                          end of one runCells batch
  *                                          this participant worked on
+ *
+ * Spans are the phases of a fresh cell (cell, generate, simulate,
+ * export), System::run's warmup and measure, and a trace-arena miss's
+ * arena_load and arena_spill. Every record carries "tid", the
+ * writing thread's small lane index (the thread that opens the
+ * journal is lane 0), so the merged timeline draws each thread's
+ * spans on a lane of their own, where they nest.
  *
  * The journal is the participant's only status file. foldJournal()
  * turns it into the participant's record — cells, steals, requeues,
@@ -45,9 +54,10 @@
  * violated no matter how skewed the wall clocks are: a worker's epoch
  * cannot precede the coordinator's spawn mark for it, and a requeued
  * claim of a cell cannot precede the first claim of the same cell.
- * The result is one Chrome trace-event document with a lane per
- * participant — a whole multi-host sweep in one chrome://tracing (or
- * Perfetto) load.
+ * The result is one Chrome trace-event document with a process lane
+ * per participant and a thread lane per journalling thread — a whole
+ * multi-host sweep in one chrome://tracing (or Perfetto) load, and
+ * the only timeline this project writes.
  *
  * A process that writes no results directory never opens its
  * journal, and then every emitter returns immediately without
@@ -64,6 +74,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -165,12 +176,14 @@ class SweepJournal
 
     const std::string &participant() const { return participant_; }
 
-    /** Microseconds of steady clock since this process's epoch. */
-    std::uint64_t monoUs() const;
+    /** Microseconds of steady clock from this process's epoch to
+     *  @p t (0 for an instant before it). */
+    std::uint64_t monoUs(std::chrono::steady_clock::time_point t) const;
 
     // Emitters. All return immediately, without allocating, when the
-    // journal is disabled; cell/phase/op strings are emitted verbatim
-    // (callers pass sanitized stems and literals).
+    // journal is disabled. Cell, key and detail strings are
+    // JSON-escaped; phase, op and mark names are emitted verbatim
+    // (callers pass literals).
     void mark(const char *name, const std::string &detail);
     /** @p wait_us: how long the claim loop was free; @p acquire_us:
      *  the lease-acquire syscall latency. */
@@ -182,7 +195,9 @@ class SweepJournal
     void publish(const std::string &cell);
     void lease(const char *op, const std::string &cell,
                std::uint64_t dur_us);
-    void arena(const char *op, const std::string &key);
+    /** Trace-arena traffic on stream @p key of @p bytes bytes. */
+    void arena(const char *op, const std::string &key,
+               std::uint64_t bytes);
     /** End of batch @p batch (@p cells cells), worked by @p jobs
      *  claim loops for @p span_us. */
     void batch(unsigned long batch, std::size_t cells, unsigned jobs,
@@ -191,13 +206,56 @@ class SweepJournal
   private:
     SweepJournal() = default;
 
-    void writeRecord(const char *body);
+    /** Append one record: the printf-formatted fields, then the
+     *  calling thread's lane and both clocks. */
+    void writeRecord(const char *format, ...)
+        __attribute__((format(printf, 2, 3)));
 
     std::atomic<bool> enabled_{false};
     mutable std::mutex mu_;
     std::FILE *file_ = nullptr;
     std::string participant_;
     std::chrono::steady_clock::time_point mono_epoch_{};
+};
+
+/**
+ * RAII span of phase @p phase: a `begin` record on entry and a `phase`
+ * record (start and duration on the journal's monotonic clock) on
+ * exit, both on the calling thread's lane. Spans of one thread nest,
+ * so the merged timeline draws them as a well-formed stack.
+ *
+ * The generate, simulate, export and cell phases are also sampled
+ * into SweepMetrics, journal or not: perfbench and the per-cell
+ * `sweep` stat group read those histograms. A span built without a
+ * cell (System::run's warmup and measure) journals the cell of the
+ * innermost enclosing span on its thread.
+ *
+ * With no journal open, a span of any other phase costs one
+ * relaxed-atomic load and a four-name lookup; it reads no clock and
+ * allocates nothing (micro_simloop --check).
+ */
+class JournalSpan
+{
+  public:
+    /** @p phase (kept by pointer: pass a literal) and @p cell must
+     *  outlive the span. */
+    JournalSpan(const char *phase, const std::string &cell);
+    JournalSpan(const char *phase, std::string &&cell) = delete;
+    explicit JournalSpan(const char *phase);
+    ~JournalSpan();
+
+    JournalSpan(const JournalSpan &) = delete;
+    JournalSpan &operator=(const JournalSpan &) = delete;
+
+  private:
+    JournalSpan(const char *phase, const std::string *cell);
+
+    const char *phase_;
+    bool journal_;                    ///< The journal was open on entry.
+    std::optional<SweepPhase> metric_; ///< SweepMetrics phase, if any.
+    const std::string *cell_ = nullptr;
+    const std::string *outer_cell_ = nullptr; ///< Restored on exit.
+    std::chrono::steady_clock::time_point t0_{};
 };
 
 // ---------------------------------------------------------------------
@@ -213,6 +271,7 @@ struct JournalEvent
     std::string name;    ///< mark name.
     std::string detail;  ///< mark detail.
     std::string key;     ///< arena key.
+    std::uint32_t tid = 0; ///< Writing thread's lane (0 when absent).
     std::uint64_t wall_us = 0;
     std::uint64_t mono_us = 0;
     std::uint64_t start_us = 0;
@@ -223,6 +282,7 @@ struct JournalEvent
     std::uint64_t cells = 0;
     std::uint64_t jobs = 0;
     std::uint64_t span_us = 0;
+    std::uint64_t bytes = 0; ///< arena stream size.
     long pid = 0;
     bool stolen = false;
     bool requeued = false;
@@ -343,7 +403,8 @@ struct TimelineStats
  * trace-event document at @p out_path: per-segment clock offsets from
  * the epoch records, causal constraint relaxation (worker epochs
  * after their spawn marks; requeued claims after the cell's first
- * claim), one lane (pid) per participant, "X" events for phases and
+ * claim), one process lane (pid) per participant and one thread
+ * lane (tid) per journalling thread, "X" events for spans and
  * instant events for claims/steals/requeues/publishes/lease
  * ops/arena traffic. Deterministic for a given set of journals.
  * False (with @p error) when the directory has no readable journals

@@ -5,7 +5,6 @@
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/sweep_events.hpp"
-#include "common/trace_events.hpp"
 #include "workloads/region_plan.hpp"
 
 namespace dice
@@ -311,7 +310,7 @@ System::run()
 
     std::vector<Cycle> warmup_cycles(cfg_.num_cores, 0);
     if (cfg_.warmup_refs_per_core > 0) {
-        TraceSpan span("sim", "warmup");
+        JournalSpan span("warmup");
         phase_ = "warmup";
         sample_interval_ = 0; // no occupancy samples during warmup
         runPhase(cfg_.warmup_refs_per_core);
@@ -327,7 +326,7 @@ System::run()
     }
 
     {
-        TraceSpan span("sim", "measure");
+        JournalSpan span("measure");
         phase_ = "measure";
         runPhase(cfg_.warmup_refs_per_core + cfg_.refs_per_core);
     }

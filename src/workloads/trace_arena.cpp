@@ -1,16 +1,12 @@
 #include "trace_arena.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "common/sweep_events.hpp"
-#include "common/telemetry.hpp"
-#include "common/trace_events.hpp"
 #include "common/rng.hpp"
 #include "workloads/arena_store.hpp"
 #include "workloads/region_plan.hpp"
@@ -40,10 +36,6 @@ storeDirFromEnv()
 {
     if (std::getenv("DICE_BENCH_NO_CACHE") != nullptr)
         return "";
-    if (const char *env = std::getenv("DICE_ARENA_SPILL")) {
-        if (std::strcmp(env, "0") == 0)
-            return "";
-    }
     if (const char *env = std::getenv("DICE_ARENA_DIR"))
         return env;
     std::string base = "bench_cache";
@@ -94,6 +86,13 @@ loadOrAwait(const ArenaStore &store, const ArenaStoreKey &key,
             return false;
         }
     }
+}
+
+/** A stream's name in journal records and spans. */
+std::string
+journalKey(const std::string &workload, std::uint64_t seed)
+{
+    return workload + ".s" + std::to_string(seed);
 }
 
 } // namespace
@@ -192,38 +191,28 @@ TraceArena::acquire(const std::string &workload, std::uint64_t seed,
     const std::unique_ptr<ArenaStore> store = storeForUse();
     const ArenaStoreKey skey{workload, seed, num_cores,
                              reference_capacity, refs_per_core};
+    const std::string jkey = journalKey(workload, seed);
     std::shared_ptr<const TraceSet> set;
     bool from_disk = false;
     bool spilled = false;
     ArenaStore::Claim claim;
 
     if (store != nullptr) {
-        TraceSpan load_span("arena_load", workload);
+        JournalSpan load_span("arena_load", jkey);
         from_disk = loadOrAwait(*store, skey, claim, set);
     }
     if (set == nullptr) {
         set = generateTraceSet(profiles, num_cores, reference_capacity,
                                seed, refs_per_core, jobs);
         if (store != nullptr) {
-            TraceSpan spill_span("arena_spill", workload);
+            JournalSpan spill_span("arena_spill", jkey);
             spilled = store->save(skey, *set);
         }
     }
     claim.release();
     promise.set_value(set);
 
-    // Journal the arena outcome: a sweep timeline showing which cells
-    // hit disk vs paid a full generation (or re-spilled) is usually
-    // the answer to "why is worker 2 slower".
-    SweepJournal &journal = SweepJournal::instance();
-    if (journal.enabled()) {
-        const std::string jkey =
-            workload + ".s" + std::to_string(seed);
-        journal.arena(from_disk ? "disk_hit" : "generate", jkey);
-        if (spilled)
-            journal.arena("spill", jkey);
-    }
-
+    std::vector<Eviction> evicted;
     {
         std::unique_lock lock(mu_);
         if (from_disk)
@@ -238,15 +227,26 @@ TraceArena::acquire(const std::string &workload, std::uint64_t seed,
         if (it != entries_.end()) {
             it->second.bytes = set->bytes();
             resident_bytes_ += it->second.bytes;
-            evictOverBudgetLocked();
+            evicted = evictOverBudgetLocked();
         }
     }
+
+    // Journal the arena outcome: a sweep timeline showing which cells
+    // hit disk vs paid a full generation (or re-spilled) is usually
+    // the answer to "why is worker 2 slower".
+    SweepJournal &journal = SweepJournal::instance();
+    journal.arena(from_disk ? "disk_hit" : "generate", jkey, set->bytes());
+    if (spilled)
+        journal.arena("spill", jkey, set->bytes());
+    for (const auto &[victim, size] : evicted)
+        journal.arena("evict", victim, size);
     return set;
 }
 
-void
+std::vector<TraceArena::Eviction>
 TraceArena::evictOverBudgetLocked()
 {
+    std::vector<Eviction> evicted;
     while (resident_bytes_ > budget_bytes_) {
         auto victim = entries_.end();
         for (auto it = entries_.begin(); it != entries_.end(); ++it) {
@@ -257,27 +257,19 @@ TraceArena::evictOverBudgetLocked()
                 victim = it;
         }
         if (victim == entries_.end())
-            return;
+            break;
         resident_bytes_ -= victim->second.bytes;
-        // Mark the eviction on the trace timeline: budget-driven
-        // stream drops are exactly the events that explain a sweep
-        // regenerating a trace it already paid for.
-        TraceLog &log = TraceLog::instance();
-        if (log.enabled()) {
-            std::string args = "{\"workload\": \"";
-            appendJsonEscaped(args, std::get<0>(victim->first));
-            char buf[96];
-            std::snprintf(
-                buf, sizeof buf,
-                "\", \"bytes\": %llu, \"resident_bytes\": %llu}",
-                static_cast<unsigned long long>(victim->second.bytes),
-                static_cast<unsigned long long>(resident_bytes_));
-            args += buf;
-            log.instant("arena", "arena_evict", std::move(args));
-        }
+        // Budget-driven stream drops are exactly the events that
+        // explain a sweep regenerating a trace it already paid for;
+        // the caller journals them once the lock is released.
+        if (SweepJournal::instance().enabled())
+            evicted.emplace_back(journalKey(std::get<0>(victim->first),
+                                            std::get<1>(victim->first)),
+                                 victim->second.bytes);
         entries_.erase(victim);
         ++evictions_;
     }
+    return evicted;
 }
 
 TraceArena::Stats
@@ -316,9 +308,14 @@ TraceArena::statGroup() const
 void
 TraceArena::setByteBudget(std::uint64_t bytes)
 {
-    std::unique_lock lock(mu_);
-    budget_bytes_ = bytes;
-    evictOverBudgetLocked();
+    std::vector<Eviction> evicted;
+    {
+        std::unique_lock lock(mu_);
+        budget_bytes_ = bytes;
+        evicted = evictOverBudgetLocked();
+    }
+    for (const auto &[victim, size] : evicted)
+        SweepJournal::instance().arena("evict", victim, size);
 }
 
 void

@@ -23,8 +23,15 @@
  * back instead of regenerated, and freshly generated streams are
  * spilled for everyone else. O_EXCL claim files make generation
  * exactly-once across concurrent worker processes. Disabled together
- * with the result cache (DICE_BENCH_NO_CACHE=1) or alone with
- * DICE_ARENA_SPILL=0; DICE_ARENA_DIR overrides the directory.
+ * with the result cache (DICE_BENCH_NO_CACHE=1); DICE_ARENA_DIR
+ * overrides the directory.
+ *
+ * Observability: with a sweep journal open, a miss journals an
+ * arena_load span around the store lookup and an arena_spill span
+ * around the spill, then an `arena` record of its outcome (disk_hit
+ * or generate, and spill); each budget eviction journals an `evict`
+ * record with the stream's key and bytes once the arena lock is
+ * released.
  */
 
 #ifndef DICE_WORKLOADS_TRACE_ARENA_HPP
@@ -37,6 +44,7 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -140,7 +148,7 @@ class TraceArena
      * spill directory, an empty string disables the store, and
      * std::nullopt restores the environment-derived default
      * (DICE_ARENA_DIR / bench_cache/arena, gated by
-     * DICE_BENCH_NO_CACHE and DICE_ARENA_SPILL).
+     * DICE_BENCH_NO_CACHE).
      */
     void setStoreDirForTest(std::optional<std::string> dir);
 
@@ -155,8 +163,12 @@ class TraceArena
         std::size_t bytes = 0; ///< 0 until generation completes.
     };
 
-    /** Evict LRU-complete entries until the budget holds. Locked. */
-    void evictOverBudgetLocked();
+    /** A budget eviction to journal: stream key and bytes. */
+    using Eviction = std::pair<std::string, std::uint64_t>;
+
+    /** Evict LRU-complete entries until the budget holds. Locked.
+     *  Returns the evictions to journal (none with no journal open). */
+    std::vector<Eviction> evictOverBudgetLocked();
 
     /** The persistent store to use right now (null = disabled). */
     std::unique_ptr<ArenaStore> storeForUse() const;

@@ -25,7 +25,10 @@ timeline.json and sweep_summary.json; that the kill run requeued work
 and its summary counts exactly the timeline's requeue instants; that
 the joiner published cells; and the summary, timeline and tool checks
 of the serve run (exact cross-participant histogram merge, one lane
-per participant, a deterministic standalone re-merge, sweep_top).
+per participant, spans nested on every thread lane, a deterministic
+standalone re-merge, sweep_top).
+
+partial_overlaps() is importable: CI's timeline checks use it too.
 """
 
 import json
@@ -136,6 +139,29 @@ class Sweeps:
                               timeout=TIMEOUT_S).stdout
 
 
+def partial_overlaps(events):
+    """Spans ("X" events) that partially overlap the open span of their
+    (pid, tid) lane. On a well-formed lane every span either nests
+    inside the open span or starts after it ends; Perfetto cannot
+    draw anything else as a stack."""
+    lanes = {}
+    for e in events:
+        if e["ph"] == "X":
+            lanes.setdefault((e["pid"], e["tid"]), []).append(e)
+    bad = []
+    for spans in lanes.values():
+        spans.sort(key=lambda e: (e["ts"], -e["dur"]))
+        stack = []
+        for e in spans:
+            while stack and e["ts"] >= stack[-1]["ts"] + stack[-1]["dur"]:
+                stack.pop()
+            if stack and (e["ts"] + e["dur"] >
+                          stack[-1]["ts"] + stack[-1]["dur"]):
+                bad.append(e)
+            stack.append(e)
+    return bad
+
+
 def check_serve(s):
     """The serve run: results layout, summary, timeline, and tools."""
     results = s.results("serve")
@@ -169,6 +195,9 @@ def check_serve(s):
         if e["ph"] == "X":
             check(e["dur"] >= 0 and e["cat"] == "phase", "span: %s" % e)
     check(any(e["ph"] == "X" for e in evs), "no phase spans in timeline")
+    overlaps = partial_overlaps(evs)
+    check(not overlaps, "%d spans partially overlap their lane, e.g. %s"
+          % (len(overlaps), overlaps[:1]))
 
     sm = s.summary("serve")
     lat = sm["phase_latency_us"]

@@ -2,9 +2,10 @@
  * @file
  * End-to-end observability tests through the bench harness: a sweep
  * run with DICE_STATS_JSON / DICE_STATS_CSV must leave one valid,
- * complete stats document per fresh cell, DICE_TRACE_OUT must yield a
- * Perfetto-loadable trace with per-cell spans, and DICE_PROGRESS must
- * produce the heartbeat line.
+ * complete stats document per fresh cell, a serial sweep with
+ * DICE_SWEEP_RESULTS must merge its journal into a Perfetto-loadable
+ * timeline with every cell's phases nested on one thread lane, and
+ * DICE_PROGRESS must produce the heartbeat line.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,8 +22,8 @@
 #include <unistd.h>
 #endif
 
+#include "common/sweep_events.hpp"
 #include "common/telemetry.hpp"
-#include "common/trace_events.hpp"
 #include "harness.hpp"
 #include "mini_json.hpp"
 
@@ -163,39 +165,76 @@ TEST_F(StatsExportTest, SweepWritesOneValidJsonPerCell)
 
 TEST_F(StatsExportTest, SweepEmitsAPerfettoLoadableTrace)
 {
-    const fs::path trace = fs::temp_directory_path() /
-                           ("dice_trace_sweep." +
-                            std::to_string(::getpid()) + ".json");
-    TraceLog::instance().setOutputForTest(trace.string());
+    const fs::path results = scratchDir("dice_sweep_timeline");
+    setenv("DICE_SWEEP_RESULTS", results.c_str(), 1);
 
+    const std::vector<std::string> workloads = {rateNames()[1],
+                                                gapNames()[1]};
     const SystemConfig base = defaultBase();
-    runSweep({rateNames()[1]}, {{configureDice(base), "sx_trace"}});
+    const std::vector<OrgCell> orgs = {
+        {configureBaseline(base), "sx_trace_base"},
+        {configureDice(base), "sx_trace"},
+    };
+    runSweep(workloads, orgs);
+    SweepJournal::instance().close();
+    unsetenv("DICE_SWEEP_RESULTS");
 
-    // runSweep flushes on completion when tracing is enabled.
-    auto doc = testjson::parse(slurp(trace));
+    // The serial run merged its journal into a loadable timeline.
+    auto doc = testjson::parse(slurp(results / "timeline.json"));
+    fs::remove_all(results);
     EXPECT_EQ(doc->at("displayTimeUnit").string, "ms");
     const auto &events = doc->at("traceEvents");
     ASSERT_TRUE(events.isArray());
 
-    bool saw_cell = false, saw_sim = false, saw_measure = false;
+    struct Span
+    {
+        double pid, tid, ts, end;
+    };
+    std::map<std::pair<std::string, std::string>, std::vector<Span>>
+        spans; // (phase, cell) -> spans
     for (const auto &ev : events.array) {
-        // Spans are "X"; point markers (e.g. arena evictions) are "i".
+        // Spans are "X"; point markers (claims, arena traffic) are
+        // "i"; lane names are "M".
         const std::string &ph = ev->at("ph").string;
-        EXPECT_TRUE(ph == "X" || ph == "i") << ph;
-        const std::string &cat = ev->at("cat").string;
-        if (cat == "cell") {
-            saw_cell = true;
-            EXPECT_EQ(ev->at("args").at("org").string, "sx_trace");
-        }
-        saw_sim |= cat == "simulate";
-        saw_measure |= ev->at("name").string == "measure";
+        EXPECT_TRUE(ph == "X" || ph == "i" || ph == "M") << ph;
+        if (ph != "X")
+            continue;
+        EXPECT_EQ(ev->at("cat").string, "phase");
+        const double ts = ev->at("ts").number;
+        spans[{ev->at("name").string, ev->at("args").at("cell").string}]
+            .push_back({ev->at("pid").number, ev->at("tid").number, ts,
+                        ts + ev->at("dur").number});
     }
-    EXPECT_TRUE(saw_cell);
-    EXPECT_TRUE(saw_sim);
-    EXPECT_TRUE(saw_measure); // the System's per-phase span
 
-    TraceLog::instance().setOutputForTest("");
-    fs::remove(trace);
+    // Every fresh cell draws its phases as one stack on one thread
+    // lane: generate, simulate and export inside the cell, and the
+    // System's warmup and measure inside simulate.
+    for (const std::string &workload : workloads) {
+        for (const OrgCell &org : orgs) {
+            const std::string stem =
+                sanitizeFileStem(workload + "_" + org.cache_key);
+            const auto only = [&](const char *phase) {
+                const std::vector<Span> &v = spans[{phase, stem}];
+                EXPECT_EQ(v.size(), 1u) << phase << " of " << stem;
+                return v.empty() ? Span{-1, -1, 0, 0} : v.front();
+            };
+            const auto expectInside = [&](const Span &outer,
+                                          const char *phase) {
+                const Span s = only(phase);
+                EXPECT_EQ(s.pid, outer.pid) << phase << " of " << stem;
+                EXPECT_EQ(s.tid, outer.tid) << phase << " of " << stem;
+                EXPECT_GE(s.ts, outer.ts) << phase << " of " << stem;
+                EXPECT_LE(s.end, outer.end) << phase << " of " << stem;
+            };
+            const Span cell = only("cell");
+            expectInside(cell, "generate");
+            expectInside(cell, "simulate");
+            expectInside(cell, "export");
+            const Span simulate = only("simulate");
+            expectInside(simulate, "warmup");
+            expectInside(simulate, "measure");
+        }
+    }
 }
 
 TEST_F(StatsExportTest, ProgressHeartbeatReportsEveryCell)

@@ -6,17 +6,22 @@
  * line format, the journal fold every status consumer shares, and —
  * the centerpiece — the cross-participant timeline merge with skewed
  * wall clocks, asserted causally consistent and round-tripped through
- * the mini JSON parser like a real chrome://tracing load.
+ * the mini JSON parser like a real chrome://tracing load — and the
+ * JournalSpans that draw each thread's phases on a lane of its own.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -233,6 +238,16 @@ TEST(SweepJournal, ParseJournalLine)
     EXPECT_FALSE(e.requeued);
     EXPECT_EQ(e.wait_us, 42u);
     EXPECT_EQ(e.mono_us, 7u);
+    EXPECT_EQ(e.tid, 0u); // a record without a lane is lane 0
+
+    ASSERT_TRUE(dice::parseJournalLine(
+        R"({"ev":"arena","op":"evict","key":"mcf.s1","bytes":4096,)"
+        R"("tid":3,"wall_us":1,"mono_us":2})",
+        e));
+    EXPECT_EQ(e.op, "evict");
+    EXPECT_EQ(e.key, "mcf.s1");
+    EXPECT_EQ(e.bytes, 4096u);
+    EXPECT_EQ(e.tid, 3u);
 
     ASSERT_TRUE(dice::parseJournalLine(
         R"({"ev":"batch","batch":3,"cells":40,"jobs":4,)"
@@ -448,6 +463,183 @@ TEST(SweepTimeline, EmptyDirFails)
     EXPECT_FALSE(dice::mergeSweepTimeline(dir / "events",
                                           dir / "t.json", &error));
     EXPECT_FALSE(error.empty());
+    std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------
+// Journal spans on thread lanes.
+
+/** One "X" event of a merged timeline. */
+struct TimelineSpan
+{
+    double pid, tid, ts, dur;
+};
+
+std::vector<TimelineSpan>
+timelineSpans(const dice::testjson::Value &root)
+{
+    std::vector<TimelineSpan> spans;
+    for (const auto &ev : root.at("traceEvents").array) {
+        if (ev->at("ph").string != "X")
+            continue;
+        spans.push_back({ev->at("pid").number, ev->at("tid").number,
+                         ev->at("ts").number, ev->at("dur").number});
+    }
+    return spans;
+}
+
+/**
+ * Spans that partially overlap the open span of their (pid, tid)
+ * lane. On a well-formed lane every span either nests inside the
+ * open span or starts after it ends, which is what Perfetto needs to
+ * draw the lane as a stack.
+ */
+std::size_t
+partialOverlaps(std::vector<TimelineSpan> spans)
+{
+    std::sort(spans.begin(), spans.end(),
+              [](const TimelineSpan &a, const TimelineSpan &b) {
+                  return std::tie(a.pid, a.tid, a.ts, b.dur) <
+                         std::tie(b.pid, b.tid, b.ts, a.dur);
+              });
+    std::size_t overlaps = 0;
+    std::vector<const TimelineSpan *> open;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        const TimelineSpan &s = spans[i];
+        if (i > 0 && (spans[i - 1].pid != s.pid || spans[i - 1].tid != s.tid))
+            open.clear();
+        while (!open.empty() && s.ts >= open.back()->ts + open.back()->dur)
+            open.pop_back();
+        if (!open.empty() &&
+            s.ts + s.dur > open.back()->ts + open.back()->dur)
+            ++overlaps;
+        open.push_back(&s);
+    }
+    return overlaps;
+}
+
+TEST(TraceEvents, SpansFromManyThreadsProduceAValidDocument)
+{
+    const auto dir = freshDir("dice_test_span_lanes");
+    dice::SweepJournal &jr = dice::SweepJournal::instance();
+    ASSERT_TRUE(jr.open(dir, "serial"));
+    {
+        const std::string sweep = "mix\"quoted\"";
+        dice::JournalSpan outer("sweep", sweep);
+        std::vector<std::thread> workers;
+        for (int t = 0; t < 4; ++t) {
+            workers.emplace_back([t] {
+                for (int i = 0; i < 8; ++i) {
+                    std::string task = "w";
+                    task += std::to_string(t);
+                    task += '.';
+                    task += std::to_string(i);
+                    dice::JournalSpan span("task", task);
+                }
+            });
+        }
+        for (auto &w : workers)
+            w.join();
+    }
+    jr.close();
+
+    const auto out = dir / "timeline.json";
+    ASSERT_TRUE(dice::mergeSweepTimeline(dir, out));
+    const std::string once = readFile(out);
+    const auto root = dice::testjson::parse(once);
+    EXPECT_EQ(root->at("displayTimeUnit").string, "ms");
+
+    std::set<double> tids;
+    bool saw_outer = false;
+    for (const auto &ev : root->at("traceEvents").array) {
+        if (ev->at("ph").string != "X")
+            continue;
+        EXPECT_EQ(ev->at("cat").string, "phase");
+        EXPECT_TRUE(ev->at("ts").isNumber());
+        EXPECT_TRUE(ev->at("dur").isNumber());
+        EXPECT_TRUE(ev->at("pid").isNumber());
+        tids.insert(ev->at("tid").number);
+        if (ev->at("name").string == "sweep") {
+            saw_outer = true;
+            EXPECT_EQ(ev->at("args").at("cell").string, "mix\"quoted\"");
+        }
+    }
+    const std::vector<TimelineSpan> spans = timelineSpans(*root);
+    EXPECT_EQ(spans.size(), 33u); // 4 threads x 8 spans + the outer
+    // The four workers and the main thread land on distinct lanes,
+    // where every span nests or follows.
+    EXPECT_GE(tids.size(), 5u);
+    EXPECT_TRUE(saw_outer);
+    EXPECT_EQ(partialOverlaps(spans), 0u);
+
+    // Re-merging rewrites the complete document.
+    ASSERT_TRUE(dice::mergeSweepTimeline(dir, out));
+    EXPECT_EQ(readFile(out), once);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceEvents, ClosedJournalSpanWritesNoRecord)
+{
+    const auto dir = freshDir("dice_test_span_closed");
+    dice::SweepJournal &jr = dice::SweepJournal::instance();
+    ASSERT_TRUE(jr.open(dir, "serial"));
+    jr.close();
+    const std::string epoch_only = readFile(dir / "serial.jsonl");
+
+    SweepMetrics &m = SweepMetrics::instance();
+    m.resetForTest();
+    {
+        const std::string cell = "mcf_dice";
+        dice::JournalSpan span("cell", cell);
+        dice::JournalSpan inner("warmup");
+    }
+    // Nothing reached the journal...
+    EXPECT_EQ(readFile(dir / "serial.jsonl"), epoch_only);
+    // ...but the whole-cell latency was still sampled, for perfbench.
+    EXPECT_EQ(m.snapshot(SweepPhase::Cell).count(), 1u);
+    for (const SweepPhase p : {SweepPhase::Generate, SweepPhase::Simulate,
+                               SweepPhase::Export})
+        EXPECT_EQ(m.snapshot(p).count(), 0u);
+    m.resetForTest();
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SweepFold, SpansJournalWhatSweepMetricsSample)
+{
+    const auto dir = freshDir("dice_test_span_fold");
+    dice::SweepJournal &jr = dice::SweepJournal::instance();
+    SweepMetrics &m = SweepMetrics::instance();
+    m.resetForTest();
+    ASSERT_TRUE(jr.open(dir, "serial"));
+    {
+        const std::string cell = "lbm_dice";
+        dice::JournalSpan span("cell", cell);
+        dice::JournalSpan simulate("simulate", cell);
+        dice::JournalSpan warmup("warmup"); // journals lbm_dice
+    }
+    jr.close();
+
+    dice::ParticipantJournal journal;
+    ASSERT_TRUE(dice::readJournal(dir / "serial.jsonl", journal));
+    std::vector<std::string> records;
+    for (const JournalEvent &e : journal.events) {
+        records.push_back(e.ev + " " + e.phase + " " + e.cell);
+        EXPECT_EQ(e.tid, journal.events.front().tid); // one thread
+    }
+    const std::vector<std::string> want = {
+        "begin cell lbm_dice",     "begin simulate lbm_dice",
+        "begin warmup lbm_dice",   "phase warmup lbm_dice",
+        "phase simulate lbm_dice", "phase cell lbm_dice"};
+    EXPECT_EQ(records, want);
+
+    // The fold's histograms equal what the process sampled.
+    const ParticipantFold f = dice::foldJournal(journal);
+    for (const SweepPhase p : {SweepPhase::Cell, SweepPhase::Simulate}) {
+        const LogHistogram &got = f.phases[static_cast<unsigned>(p)];
+        EXPECT_EQ(got.count(), 1u);
+        EXPECT_EQ(got.sum(), m.snapshot(p).sum());
+    }
+    m.resetForTest();
     std::filesystem::remove_all(dir);
 }
 
@@ -720,7 +912,7 @@ TEST(SweepFold, EmittersRoundTripThroughTheFold)
     jr.begin("cell", "mcf_dice");
     jr.phase("cell", "mcf_dice", 0, 5000);
     jr.publish("mcf_dice");
-    jr.arena("generate", "mcf.s1");
+    jr.arena("generate", "mcf.s1", 4096);
     jr.batch(2, 9, 3, 8000);
     jr.close();
     EXPECT_FALSE(jr.enabled());

@@ -2,9 +2,8 @@
  * @file
  * Tests of the observability layer: decision-ring wrap semantics, the
  * StatRegistry (duplicate detection, interval snapshots, JSON/CSV
- * export round-tripped through a real parser), Chrome trace-event
- * output, level-filtered thread-safe logging, and the CIP / DICE
- * install decision traces.
+ * export round-tripped through a real parser), level-filtered
+ * thread-safe logging, and the CIP / DICE install decision traces.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,7 +26,6 @@
 #include "common/ring_trace.hpp"
 #include "common/stats.hpp"
 #include "common/telemetry.hpp"
-#include "common/trace_events.hpp"
 #include "core/cip.hpp"
 #include "core/compressed.hpp"
 #include "core/data_source.hpp"
@@ -379,81 +376,6 @@ TEST(Telemetry, SanitizeFileStem)
     EXPECT_EQ(sanitizeFileStem("mix3_dice-2x.v1"), "mix3_dice-2x.v1");
     EXPECT_EQ(sanitizeFileStem("a/b:c d"), "a_b_c_d");
     EXPECT_EQ(sanitizeFileStem(""), "unnamed");
-}
-
-// ---------------------------------------------------------------------
-// Chrome trace events
-
-TEST(TraceEvents, SpansFromManyThreadsProduceAValidDocument)
-{
-    const fs::path path = tempPath("dice_trace");
-    TraceLog::instance().setOutputForTest(path.string());
-    ASSERT_TRUE(TraceLog::instance().enabled());
-
-    {
-        TraceSpan outer("sim", "sweep",
-                        "{\"workload\": \"mix\\\"quoted\\\"\"}");
-        std::vector<std::thread> workers;
-        for (int t = 0; t < 4; ++t) {
-            workers.emplace_back([t] {
-                for (int i = 0; i < 8; ++i) {
-                    std::string name = "w";
-                    name += std::to_string(t);
-                    name += '.';
-                    name += std::to_string(i);
-                    TraceSpan span("cell", std::move(name));
-                }
-            });
-        }
-        for (auto &w : workers)
-            w.join();
-    }
-
-    ASSERT_TRUE(TraceLog::instance().flush());
-    auto doc = testjson::parse(slurp(path));
-    EXPECT_EQ(doc->at("displayTimeUnit").string, "ms");
-
-    const auto &events = doc->at("traceEvents");
-    ASSERT_TRUE(events.isArray());
-    EXPECT_EQ(events.array.size(), 33u); // 4*8 cells + the outer span
-
-    std::set<double> tids;
-    bool saw_args = false;
-    for (const auto &ev : events.array) {
-        EXPECT_EQ(ev->at("ph").string, "X");
-        EXPECT_TRUE(ev->at("ts").isNumber());
-        EXPECT_TRUE(ev->at("dur").isNumber());
-        EXPECT_TRUE(ev->at("pid").isNumber());
-        tids.insert(ev->at("tid").number);
-        if (ev->has("args")) {
-            saw_args = true;
-            EXPECT_EQ(ev->at("args").at("workload").string,
-                      "mix\"quoted\"");
-        }
-    }
-    // The four workers and the main thread land on distinct lanes.
-    EXPECT_GE(tids.size(), 5u);
-    EXPECT_TRUE(saw_args);
-
-    // Re-flushing must rewrite the complete document, not truncate it
-    // to events recorded since the previous flush.
-    ASSERT_TRUE(TraceLog::instance().flush());
-    auto doc2 = testjson::parse(slurp(path));
-    EXPECT_EQ(doc2->at("traceEvents").array.size(), 33u);
-
-    TraceLog::instance().setOutputForTest("");
-    fs::remove(path);
-}
-
-TEST(TraceEvents, DisabledLogRecordsNothingAndFlushFails)
-{
-    TraceLog::instance().setOutputForTest("");
-    EXPECT_FALSE(TraceLog::instance().enabled());
-    {
-        TraceSpan span("sim", "ignored");
-    }
-    EXPECT_EQ(TraceLog::instance().pendingEvents(), 0u);
-    EXPECT_FALSE(TraceLog::instance().flush());
 }
 
 // ---------------------------------------------------------------------

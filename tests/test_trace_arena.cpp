@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "common/trace_events.hpp"
+#include "common/sweep_events.hpp"
 #include "harness.hpp"
 #include "mini_json.hpp"
 #include "workloads/packed_trace.hpp"
@@ -178,19 +178,19 @@ TEST(TraceArena, LruEvictionUnderByteBudget)
 }
 
 /**
- * Budget-driven evictions leave instant markers ("ph":"i") on the
- * trace-event timeline, carrying the evicted workload and its size, so
- * an arena thrash shows up right next to the regeneration spans it
- * causes.
+ * Budget-driven evictions are journalled as `arena` `evict` records
+ * carrying the evicted stream's key and size, and the timeline merge
+ * draws them as instant markers ("ph":"i"), so an arena thrash shows
+ * up right next to the regeneration spans it causes.
  */
 TEST(TraceArena, EvictionEmitsInstantTraceEvent)
 {
     namespace fs = std::filesystem;
-    const fs::path trace =
-        fs::temp_directory_path() /
-        ("dice_trace_arena_evict." + std::to_string(::getpid()) +
-         ".json");
-    TraceLog::instance().setOutputForTest(trace.string());
+    const fs::path dir = fs::temp_directory_path() /
+                         ("dice_arena_evict." + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    SweepJournal &journal = SweepJournal::instance();
+    ASSERT_TRUE(journal.open(dir, "serial"));
 
     TraceArena &arena = TraceArena::instance();
     arena.clear();
@@ -205,25 +205,37 @@ TEST(TraceArena, EvictionEmitsInstantTraceEvent)
     const std::uint64_t two_sets = arena.stats().resident_bytes;
     arena.setByteBudget(two_sets - 1); // forces one eviction now
     EXPECT_EQ(arena.stats().evictions, 1u);
+    journal.close();
 
-    ASSERT_TRUE(TraceLog::instance().flush());
-    TraceLog::instance().setOutputForTest("");
+    // The journal names the least recently used stream and its size.
+    ParticipantJournal record;
+    ASSERT_TRUE(readJournal(dir / "serial.jsonl", record));
+    std::size_t evict_records = 0;
+    for (const JournalEvent &e : record.events) {
+        if (e.ev != "arena" || e.op != "evict")
+            continue;
+        ++evict_records;
+        EXPECT_EQ(e.key, "milc.s1");
+        EXPECT_GT(e.bytes, 0u);
+    }
+    EXPECT_EQ(evict_records, 1u);
 
-    std::ifstream in(trace);
+    ASSERT_TRUE(mergeSweepTimeline(dir, dir / "timeline.json"));
+    std::ifstream in(dir / "timeline.json");
     std::stringstream ss;
     ss << in.rdbuf();
     auto doc = testjson::parse(ss.str());
-    fs::remove(trace);
+    fs::remove_all(dir);
 
     bool saw_evict = false;
     for (const auto &ev : doc->at("traceEvents").array) {
-        if (ev->at("name").string != "arena_evict")
+        if (ev->at("name").string != "evict")
             continue;
         saw_evict = true;
         EXPECT_EQ(ev->at("ph").string, "i");
         EXPECT_EQ(ev->at("s").string, "t");
         EXPECT_EQ(ev->at("cat").string, "arena");
-        EXPECT_EQ(ev->at("args").at("workload").string, "milc");
+        EXPECT_EQ(ev->at("args").at("key").string, "milc.s1");
         EXPECT_GT(ev->at("args").at("bytes").number, 0.0);
         EXPECT_FALSE(ev->has("dur"));
     }
