@@ -12,6 +12,7 @@
 #include <shared_mutex>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <unordered_set>
 
 #include <chrono>
@@ -19,6 +20,7 @@
 #include "sweep_queue.hpp"
 
 #include "common/claim_file.hpp"
+#include "common/knobs.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -46,35 +48,6 @@ namespace
  *  cached results (v6: trailing checksum field). */
 constexpr int kCacheVersion = 6;
 
-/** Scale knob: DICE_BENCH_REFS overrides refs per core. */
-std::uint64_t
-refsPerCore()
-{
-    if (const char *env = std::getenv("DICE_BENCH_REFS"))
-        return std::strtoull(env, nullptr, 10);
-    return 40'000;
-}
-
-/**
- * Directory for cross-binary result caching. Every bench binary needs
- * many of the same (workload, organization) simulations; persisting
- * them lets the whole table suite run each simulation exactly once.
- * Disable with DICE_BENCH_NO_CACHE=1.
- */
-std::filesystem::path
-cacheDir()
-{
-    if (const char *env = std::getenv("DICE_BENCH_CACHE_DIR"))
-        return env;
-    return "bench_cache";
-}
-
-bool
-cacheEnabled()
-{
-    return std::getenv("DICE_BENCH_NO_CACHE") == nullptr;
-}
-
 std::string
 resultFileName(const std::string &workload, const SystemConfig &config,
                const std::string &cache_key)
@@ -87,16 +60,40 @@ resultFileName(const std::string &workload, const SystemConfig &config,
            ".result";
 }
 
-/** Stable (cross-process, cross-build) FNV-1a hash of the payload. */
-std::uint64_t
-fnv1a(const std::string &s)
+/**
+ * Visit RunResult's scalar fields as (name, field) in their one
+ * canonical order. The cache file, the golden digest and the merged
+ * document all walk this list, each following it with core_cycles.
+ */
+template <typename Result, typename Visit>
+void
+forEachResultField(Result &r, Visit &&visit)
 {
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    for (const char c : s) {
-        h ^= static_cast<std::uint8_t>(c);
-        h *= 0x100000001B3ull;
-    }
-    return h;
+    visit("cycles", r.cycles);
+    visit("instructions", r.instructions);
+    visit("ipc", r.ipc);
+    visit("l3_hit_rate", r.l3_hit_rate);
+    visit("l4_hit_rate", r.l4_hit_rate);
+    visit("l4_reads", r.l4_reads);
+    visit("l4_extra_lines", r.l4_extra_lines);
+    visit("l4_second_probes", r.l4_second_probes);
+    visit("cip_read_accuracy", r.cip_read_accuracy);
+    visit("cip_write_accuracy", r.cip_write_accuracy);
+    visit("mapi_accuracy", r.mapi_accuracy);
+    visit("frac_invariant", r.frac_invariant);
+    visit("frac_bai", r.frac_bai);
+    visit("frac_tsi", r.frac_tsi);
+    visit("avg_valid_lines", r.avg_valid_lines);
+    visit("l4_bytes", r.l4_bytes);
+    visit("mem_bytes", r.mem_bytes);
+    visit("avg_miss_latency", r.avg_miss_latency);
+    visit("energy_l4_nj", r.energy.l4_nj);
+    visit("energy_mem_nj", r.energy.mem_nj);
+    visit("energy_background_nj", r.energy.background_nj);
+    visit("energy_total_nj", r.energy.total_nj);
+    visit("energy_avg_power_w", r.energy.avg_power_w);
+    visit("energy_edp", r.energy.edp);
+    visit("energy_seconds", r.energy.seconds);
 }
 
 /** Serialize a result into the cache-file payload (no checksum). */
@@ -105,18 +102,10 @@ serializeResult(const RunResult &r)
 {
     std::ostringstream out;
     out.precision(17);
-    out << r.cycles << ' ' << r.instructions << ' ' << r.ipc << ' '
-        << r.l3_hit_rate << ' ' << r.l4_hit_rate << ' ' << r.l4_reads
-        << ' ' << r.l4_extra_lines << ' ' << r.l4_second_probes << ' '
-        << r.cip_read_accuracy << ' ' << r.cip_write_accuracy << ' '
-        << r.mapi_accuracy << ' ' << r.frac_invariant << ' '
-        << r.frac_bai << ' ' << r.frac_tsi << ' ' << r.avg_valid_lines
-        << ' ' << r.l4_bytes << ' ' << r.mem_bytes << ' '
-        << r.avg_miss_latency << ' ' << r.energy.l4_nj << ' '
-        << r.energy.mem_nj << ' ' << r.energy.background_nj << ' '
-        << r.energy.total_nj << ' ' << r.energy.avg_power_w << ' '
-        << r.energy.edp << ' ' << r.energy.seconds << ' '
-        << r.core_cycles.size();
+    forEachResultField(r, [&out](const char *, const auto &v) {
+        out << v << ' ';
+    });
+    out << r.core_cycles.size();
     for (const Cycle c : r.core_cycles)
         out << ' ' << c;
     return out.str();
@@ -127,16 +116,9 @@ bool
 parseResult(const std::string &payload, RunResult &r)
 {
     std::istringstream in(payload);
+    forEachResultField(r, [&in](const char *, auto &v) { in >> v; });
     std::size_t n_cores = 0;
-    in >> r.cycles >> r.instructions >> r.ipc >> r.l3_hit_rate >>
-        r.l4_hit_rate >> r.l4_reads >> r.l4_extra_lines >>
-        r.l4_second_probes >> r.cip_read_accuracy >>
-        r.cip_write_accuracy >> r.mapi_accuracy >> r.frac_invariant >>
-        r.frac_bai >> r.frac_tsi >> r.avg_valid_lines >> r.l4_bytes >>
-        r.mem_bytes >> r.avg_miss_latency >> r.energy.l4_nj >>
-        r.energy.mem_nj >> r.energy.background_nj >> r.energy.total_nj >>
-        r.energy.avg_power_w >> r.energy.edp >> r.energy.seconds >>
-        n_cores;
+    in >> n_cores;
     if (!in || n_cores == 0 || n_cores > 1024)
         return false;
     r.core_cycles.resize(n_cores);
@@ -170,34 +152,23 @@ std::atomic<std::uint64_t> g_simulated_refs{0};
 
 /**
  * Export one freshly-simulated cell's stat registry when
- * DICE_STATS_JSON / DICE_STATS_CSV name output directories. Called
- * with the System still alive (the registry reads live counters).
+ * DICE_STATS_JSON names an output directory. Called with the System
+ * still alive (the registry reads live counters).
  */
 void
 exportCellStats(const System &sys, const std::string &workload,
                 const std::string &cache_key)
 {
-    const std::string json_dir = statsJsonDir();
-    const std::string csv_dir = statsCsvDir();
-    if (json_dir.empty() && csv_dir.empty())
+    const std::string dir = knobText(Knob::StatsJson);
+    if (dir.empty())
         return;
-    const std::string stem =
-        sanitizeFileStem(workload + "_" + cache_key);
     std::error_code ec;
-    if (!json_dir.empty()) {
-        std::filesystem::create_directories(json_dir, ec);
-        const auto path =
-            std::filesystem::path(json_dir) / (stem + ".json");
-        if (!sys.statRegistry().writeJson(path.string()))
-            dice_warn("cannot write stats JSON %s", path.c_str());
-    }
-    if (!csv_dir.empty()) {
-        std::filesystem::create_directories(csv_dir, ec);
-        const auto path =
-            std::filesystem::path(csv_dir) / (stem + ".csv");
-        if (!sys.statRegistry().writeCsv(path.string()))
-            dice_warn("cannot write stats CSV %s", path.c_str());
-    }
+    std::filesystem::create_directories(dir, ec);
+    const auto path = std::filesystem::path(dir) /
+                      (sanitizeFileStem(workload + "_" + cache_key) +
+                       ".json");
+    if (!sys.statRegistry().writeJson(path.string()))
+        dice_warn("cannot write stats JSON %s", path.c_str());
 }
 
 /**
@@ -240,28 +211,9 @@ namespace detail
 void
 saveResult(const std::filesystem::path &path, const RunResult &r)
 {
-    // Unique temp name per process and call: concurrent writers (other
-    // threads or other bench binaries) never collide, and readers only
-    // ever see fully-written files because rename() is atomic within a
-    // directory.
-    static std::atomic<std::uint64_t> counter{0};
     const std::string payload = serializeResult(r);
-    std::filesystem::path tmp = path;
-    tmp += ".tmp." + std::to_string(static_cast<long>(getpid())) + "." +
-           std::to_string(counter.fetch_add(1));
-
-    {
-        std::ofstream out(tmp);
-        if (!out)
-            return;
-        out << payload << ' ' << fnv1a(payload) << '\n';
-        if (!out)
-            return;
-    }
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec)
-        std::filesystem::remove(tmp, ec);
+    atomicWriteFile(path, payload + ' ' + std::to_string(fnv1a(payload)) +
+                              '\n');
 }
 
 bool
@@ -404,10 +356,10 @@ registerCells(const std::vector<const SimCell *> &work)
 std::filesystem::path
 resultsDir()
 {
-    const std::string env = sweepResultsDir();
-    if (!env.empty())
-        return env;
-    return cacheDir() / "results";
+    if (knobSet(Knob::SweepResults))
+        return knobText(Knob::SweepResults);
+    return std::filesystem::path(knobText(Knob::BenchCacheDir)) /
+           "results";
 }
 
 /** File stem naming a cell's per-cell doc and lease. */
@@ -478,47 +430,17 @@ resultJson(const std::string &workload, const std::string &org,
     out += "\", \"digest\": ";
     out += std::to_string(detail::resultDigest(r));
     out += ", \"stats\": {";
-
-    bool first = true;
-    const auto u64 = [&out, &first](const char *name, std::uint64_t v) {
-        out += first ? "\"" : ", \"";
-        first = false;
+    const char *sep = "\"";
+    forEachResultField(r, [&out, &sep](const char *name, const auto &v) {
+        out += sep;
+        sep = ", \"";
         out += name;
         out += "\": ";
-        out += std::to_string(v);
-    };
-    const auto num = [&out, &first](const char *name, double v) {
-        out += first ? "\"" : ", \"";
-        first = false;
-        out += name;
-        out += "\": ";
-        appendJsonNumber(out, v);
-    };
-    u64("cycles", r.cycles);
-    u64("instructions", r.instructions);
-    num("ipc", r.ipc);
-    num("l3_hit_rate", r.l3_hit_rate);
-    num("l4_hit_rate", r.l4_hit_rate);
-    u64("l4_reads", r.l4_reads);
-    u64("l4_extra_lines", r.l4_extra_lines);
-    u64("l4_second_probes", r.l4_second_probes);
-    num("cip_read_accuracy", r.cip_read_accuracy);
-    num("cip_write_accuracy", r.cip_write_accuracy);
-    num("mapi_accuracy", r.mapi_accuracy);
-    num("frac_invariant", r.frac_invariant);
-    num("frac_bai", r.frac_bai);
-    num("frac_tsi", r.frac_tsi);
-    num("avg_valid_lines", r.avg_valid_lines);
-    u64("l4_bytes", r.l4_bytes);
-    u64("mem_bytes", r.mem_bytes);
-    num("avg_miss_latency", r.avg_miss_latency);
-    num("energy_l4_nj", r.energy.l4_nj);
-    num("energy_mem_nj", r.energy.mem_nj);
-    num("energy_background_nj", r.energy.background_nj);
-    num("energy_total_nj", r.energy.total_nj);
-    num("energy_avg_power_w", r.energy.avg_power_w);
-    num("energy_edp", r.energy.edp);
-    num("energy_seconds", r.energy.seconds);
+        if constexpr (std::is_integral_v<std::decay_t<decltype(v)>>)
+            out += std::to_string(v);
+        else
+            appendJsonNumber(out, v);
+    });
     out += ", \"core_cycles\": [";
     for (std::size_t i = 0; i < r.core_cycles.size(); ++i) {
         if (i > 0)
@@ -535,7 +457,7 @@ bool
 writesSweepResults()
 {
     return sweepMode().role != SweepMode::Role::Serial ||
-           !sweepResultsDir().empty();
+           knobSet(Knob::SweepResults);
 }
 
 /**
@@ -794,7 +716,7 @@ writeSweepSummary()
         const std::vector<std::string> warnings = sweepAnomalyWarnings(
             all.phases[static_cast<unsigned>(SweepPhase::Cell)],
             all.slowest_cell, all.slowest_us, all.requeued, all.cells,
-            sweepStragglerK());
+            knobReal(Knob::SweepStragglerK));
         bool first_warn = true;
         for (const std::string &w : warnings) {
             out += first_warn ? "\n  \"" : ",\n  \"";
@@ -811,7 +733,17 @@ writeSweepSummary()
     }
     out += ",\n \"total_generations\": ";
     out += std::to_string(all.generations);
-    out += "\n}\n";
+    // The effective knob set. Only here: the merged document is
+    // byte-diffed across runs that name it differently.
+    out += ",\n \"knobs\": {";
+    for (std::size_t i = 0; i < kKnobCount; ++i) {
+        out += i == 0 ? "\n  \"" : ",\n  \"";
+        out += knobTable()[i].name;
+        out += "\": \"";
+        appendJsonEscaped(out, knobValue(static_cast<Knob>(i)));
+        out += "\"";
+    }
+    out += "\n }\n}\n";
     std::error_code ec;
     std::filesystem::create_directories(resultsDir(), ec);
     atomicWriteFile(resultsDir() / "sweep_summary.json", out);
@@ -826,7 +758,7 @@ writeSweepSummary()
 void
 writeSweepOutputs()
 {
-    const std::string merged = sweepMergedPath();
+    const std::string merged = knobText(Knob::SweepMerged);
     if (!merged.empty()) {
         std::vector<CellRecord> order;
         {
@@ -867,7 +799,7 @@ void
 runCellsSerial(const std::vector<const SimCell *> &work,
                bool progress_allowed)
 {
-    const bool progress = progress_allowed && progressEnabled();
+    const bool progress = progress_allowed && knobFlag(Knob::Progress);
     const auto t0 = std::chrono::steady_clock::now();
     std::atomic<std::size_t> done{0};
     parallelFor(work.size(), benchJobs(),
@@ -884,16 +816,6 @@ runCellsSerial(const std::vector<const SimCell *> &work,
             printProgress(d, work.size(), elapsed);
         }
     });
-}
-
-/** Microseconds elapsed since @p t0. */
-std::uint64_t
-elapsedUs(std::chrono::steady_clock::time_point t0)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
 }
 
 #ifndef _WIN32
@@ -1005,7 +927,7 @@ runCellsCoordinator(const std::vector<const SimCell *> &work,
     }
 
     SweepQueue q(resultsDir(), queueCellsFor(work), 0, 0);
-    const bool progress = progressEnabled();
+    const bool progress = knobFlag(Knob::Progress);
     std::vector<bool> reaped(pids.size(), false);
     std::size_t alive = pids.size();
     for (;;) {
@@ -1061,8 +983,8 @@ defaultBase()
 {
     SystemConfig cfg;
     cfg.num_cores = 8;
-    cfg.refs_per_core = refsPerCore();
-    cfg.warmup_refs_per_core = refsPerCore() / 2;
+    cfg.refs_per_core = knobCount(Knob::BenchRefs);
+    cfg.warmup_refs_per_core = cfg.refs_per_core / 2;
     // 1/128-scale machine: an 8-MiB L4 stands in for the paper's
     // 1 GiB and a 64-KiB shared L3 for the paper's 8 MiB. Footprints
     // scale with reference_capacity so footprint/capacity pressure
@@ -1130,28 +1052,13 @@ configure2xBoth(SystemConfig base)
 std::vector<std::string>
 extraOrgNames()
 {
-    std::vector<std::string> out;
-    const char *env = std::getenv("DICE_BENCH_ORGS");
-    if (env == nullptr || *env == '\0')
-        return out;
-    std::string cur;
-    for (const char *p = env;; ++p) {
-        if (*p == ',' || *p == '\0') {
-            if (!cur.empty()) {
-                dice_assert(L4Registry::instance().known(cur),
-                            "DICE_BENCH_ORGS names unknown organization "
-                            "'%s'",
-                            cur.c_str());
-                out.push_back(cur);
-            }
-            cur.clear();
-            if (*p == '\0')
-                break;
-        } else {
-            cur += *p;
-        }
+    std::vector<std::string> orgs = splitList(knobText(Knob::BenchOrgs));
+    for (const std::string &org : orgs) {
+        dice_assert(L4Registry::instance().known(org),
+                    "DICE_BENCH_ORGS names unknown organization '%s'",
+                    org.c_str());
     }
-    return out;
+    return orgs;
 }
 
 std::vector<WorkloadProfile>
@@ -1178,7 +1085,7 @@ workloadProfiles(const std::string &name, std::uint32_t cores)
 unsigned
 benchJobs()
 {
-    return jobsFromEnv("DICE_BENCH_JOBS");
+    return static_cast<unsigned>(knobCount(Knob::BenchJobs));
 }
 
 const RunResult &
@@ -1194,19 +1101,21 @@ runWorkload(const std::string &workload, const SystemConfig &config,
             return it->second;
     }
 
+    const std::string cache_dir = benchCacheDir();
     const std::filesystem::path file =
-        cacheDir() / resultFileName(workload, config, cache_key);
+        std::filesystem::path(cache_dir) /
+        resultFileName(workload, config, cache_key);
     RunResult computed;
     bool loaded = false;
-    if (cacheEnabled()) {
+    if (!cache_dir.empty()) {
         std::error_code ec;
-        std::filesystem::create_directories(cacheDir(), ec);
+        std::filesystem::create_directories(cache_dir, ec);
         loaded = detail::loadResult(file, computed);
     }
     if (!loaded) {
         // The per-cell announcement honors DICE_LOG_LEVEL=quiet and
         // yields to the progress line when DICE_PROGRESS is set.
-        if (logLevel() >= LogLevel::Warn && !progressEnabled()) {
+        if (logLevel() >= LogLevel::Warn && !knobFlag(Knob::Progress)) {
             std::fprintf(stderr, "[sim] %s / %s ...\n", workload.c_str(),
                          cache_key.c_str());
         }
@@ -1252,7 +1161,7 @@ runWorkload(const std::string &workload, const SystemConfig &config,
         // bits anyway (the simulation is deterministic).
         pub = rc.results.emplace(key, std::move(computed));
     }
-    if (pub.second && !loaded && cacheEnabled())
+    if (pub.second && !loaded && !cache_dir.empty())
         detail::saveResult(file, pub.first->second);
     return pub.first->second;
 }
@@ -1312,7 +1221,7 @@ initSweepMode(int argc, char **argv)
         m.role = SweepMode::Role::Serial;
     }
 #else
-    if (m.role == SweepMode::Role::Coordinator && !cacheEnabled()) {
+    if (m.role == SweepMode::Role::Coordinator && benchCacheDir().empty()) {
         dice_warn("sweep: --serve shares work through the persistent "
                   "cache; unset DICE_BENCH_NO_CACHE. Running serially");
         m.role = SweepMode::Role::Serial;
@@ -1325,14 +1234,14 @@ initSweepMode(int argc, char **argv)
         // cache; an attaching worker must share the sweep's cache. By
         // default the results dir is <cache>/results, so infer the
         // cache from the parent unless the caller said otherwise.
-        if (std::getenv("DICE_BENCH_CACHE_DIR") == nullptr) {
+        if (!knobSet(Knob::BenchCacheDir)) {
             const std::filesystem::path parent =
                 std::filesystem::path(m.join_results).parent_path();
             if (!parent.empty())
                 setenv("DICE_BENCH_CACHE_DIR",
                        parent.string().c_str(), 1);
         }
-        if (!cacheEnabled()) {
+        if (benchCacheDir().empty()) {
             dice_warn("sweep: --join shares work through the "
                       "persistent cache; unset DICE_BENCH_NO_CACHE. "
                       "Running serially");

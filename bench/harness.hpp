@@ -20,16 +20,11 @@
  * Freshly-simulated cells draw their reference streams from the
  * process-wide TraceArena: each (workload, seed) stream is generated
  * once per sweep and replayed bit-identically by every organization
- * column (DICE_TRACE_ARENA_BYTES bounds resident stream memory).
+ * column.
  *
- * Observability (all off by default; see README "Telemetry"):
- *  - DICE_STATS_JSON / DICE_STATS_CSV: per-cell stat-registry export
- *    into the named directory, one document per fresh cell.
- *  - DICE_SWEEP_RESULTS: also makes a serial run journal its spans
- *    and write <dir>/timeline.json, a Chrome trace-event timeline of
- *    every cell's phases on per-thread lanes (view in Perfetto).
- *  - DICE_PROGRESS=1: progress line with cells done/total, refs/sec,
- *    and trace-arena residency.
+ * Every DICE_* knob the harness reads (scale, jobs, cache location,
+ * observability) is a row of the one knob table, common/knobs.hpp;
+ * README "Knobs" lists them.
  */
 
 #ifndef DICE_BENCH_HARNESS_HPP
@@ -100,7 +95,7 @@ struct OrgCell
     std::string cache_key;
 };
 
-/** Worker threads the engine uses (DICE_BENCH_JOBS, default ncpu). */
+/** Worker threads the engine uses (DICE_BENCH_JOBS). */
 unsigned benchJobs();
 
 /**
@@ -126,12 +121,11 @@ unsigned benchJobs();
  *                queue, publish them, and exit. Own stdout is
  *                suppressed — the coordinator renders the figure.
  *
- * Related environment: DICE_SWEEP_RESULTS overrides the results
- * directory (and makes a serial run write one too),
- * DICE_SWEEP_MERGED names a canonical merged JSON document written
- * (serially or distributed) after every batch, and
- * DICE_SWEEP_LEASE_STALE_S (default 30) is the lease staleness
- * threshold for requeueing a dead holder's cells.
+ * Related knobs: DICE_SWEEP_RESULTS overrides the results directory
+ * (and makes a serial run write one too), DICE_SWEEP_MERGED names a
+ * canonical merged JSON document written (serially or distributed)
+ * after every batch, and DICE_SWEEP_LEASE_STALE_S is the lease
+ * staleness threshold for requeueing a dead holder's cells.
  *
  * Every process that writes a results directory journals its events
  * to <results>/events/<participant>.jsonl — its only status file.
@@ -139,10 +133,10 @@ unsigned benchJobs();
  * folds all journals into <results>/sweep_summary.json — total
  * stolen/requeued, per-participant cells, busy/span seconds,
  * utilization, trace-arena counters, merged per-phase latency
- * percentiles (phase_latency_us), the slowest cell, and anomaly
- * warnings (straggler threshold DICE_SWEEP_STRAGGLER_K, default
- * 4 x p90) — and merges them into a Chrome trace at
- * <results>/timeline.json; see README "Sweep observability".
+ * percentiles (phase_latency_us), the slowest cell, anomaly warnings
+ * (straggler threshold DICE_SWEEP_STRAGGLER_K x p90), and the
+ * effective knob set ("knobs") — and merges them into a Chrome trace
+ * at <results>/timeline.json; see README "Sweep observability".
  */
 void initSweepMode(int argc, char **argv);
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <utility>
 
 #include "common/claim_file.hpp"
+#include "common/knobs.hpp"
 #include "common/log.hpp"
 
 namespace dice::bench
@@ -22,28 +22,7 @@ monotonicSeconds()
         .count();
 }
 
-/** Microseconds since @p t0. */
-std::uint64_t
-elapsedUs(std::chrono::steady_clock::time_point t0)
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-}
-
 } // namespace
-
-std::uint64_t
-SweepQueue::leaseStaleSeconds()
-{
-    if (const char *env = std::getenv("DICE_SWEEP_LEASE_STALE_S")) {
-        const std::uint64_t v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            return v;
-    }
-    return 30;
-}
 
 std::filesystem::path
 SweepQueue::docPath(const std::filesystem::path &results_dir,
@@ -134,7 +113,7 @@ std::optional<std::size_t>
 SweepQueue::claimNext(std::uint64_t wait_us)
 {
     std::lock_guard lock(mu_);
-    const std::uint64_t stale_s = leaseStaleSeconds();
+    const std::uint64_t stale_s = knobCount(Knob::SweepLeaseStaleS);
     for (const std::size_t idx : cost_order_) {
         if (state_[idx] != State::Pending)
             continue;
@@ -266,8 +245,8 @@ SweepQueue::refresherLoop()
     std::unique_lock lock(mu_);
     for (;;) {
         const auto interval = std::chrono::milliseconds(
-            std::min<std::uint64_t>(5'000,
-                                    leaseStaleSeconds() * 1'000 / 3) +
+            std::min<std::uint64_t>(
+                5'000, knobCount(Knob::SweepLeaseStaleS) * 1'000 / 3) +
             1);
         if (refresher_cv_.wait_for(lock, interval,
                                    [this] { return stop_; }))

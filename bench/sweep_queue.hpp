@@ -27,10 +27,11 @@
  *    render identical bytes (the simulation is deterministic) and the
  *    atomic rename makes the second publish harmless.
  *  - A lease whose holder died (same-host pid probe) or went stale
- *    (mtime beyond DICE_SWEEP_LEASE_STALE_S) is silently broken and
- *    the cell is *requeued* — any peer reclaims it. This is the whole
- *    retry/requeue policy: a crashed or wedged worker's cells return
- *    to the queue instead of falling back to serial absorption.
+ *    (mtime beyond DICE_SWEEP_LEASE_STALE_S, default 30 s) is
+ *    silently broken and the cell is *requeued* — any peer reclaims
+ *    it. This is the whole retry/requeue policy: a crashed or wedged
+ *    worker's cells return to the queue instead of falling back to
+ *    serial absorption.
  *
  * Cells are handed out longest-expected-first (cost estimated from
  * trace length × cores × an organization weight), which shrinks the
@@ -48,6 +49,7 @@
 #ifndef DICE_BENCH_SWEEP_QUEUE_HPP
 #define DICE_BENCH_SWEEP_QUEUE_HPP
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
@@ -61,6 +63,16 @@
 
 namespace dice::bench
 {
+
+/** Microseconds elapsed since @p t0. */
+inline std::uint64_t
+elapsedUs(std::chrono::steady_clock::time_point t0)
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count());
+}
 
 /** One queue entry: a batch cell's identity and expected cost. */
 struct QueueCell
@@ -161,10 +173,6 @@ class SweepQueue
      */
     static void resetCell(const std::filesystem::path &results_dir,
                           const std::string &stem);
-
-    /** Lease age beyond which its holder is presumed dead
-     *  (DICE_SWEEP_LEASE_STALE_S, default 30 s). */
-    static std::uint64_t leaseStaleSeconds();
 
   private:
     enum class State : std::uint8_t

@@ -43,35 +43,12 @@
 #include <string>
 #include <vector>
 
+#include "common/knobs.hpp"
 #include "harness.hpp"
 #include "workloads/trace_arena.hpp"
 
 using namespace dice;
 using namespace dice::bench;
-
-namespace
-{
-
-std::vector<std::string>
-splitList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char c : csv) {
-        if (c == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)

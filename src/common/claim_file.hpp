@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <string_view>
 
 namespace dice
 {
@@ -90,6 +91,19 @@ bool refreshClaimFile(const std::filesystem::path &path);
  */
 bool atomicWriteFile(const std::filesystem::path &path,
                      const std::string &content);
+
+/** Stable (cross-process, cross-build) FNV-1a checksum: the one the
+ *  result cache and the arena store stamp their files with. */
+inline std::uint64_t
+fnv1a(std::string_view bytes)
+{
+    std::uint64_t h = 0xCBF29CE484222325ull;
+    for (const char c : bytes) {
+        h ^= static_cast<std::uint8_t>(c);
+        h *= 0x100000001B3ull;
+    }
+    return h;
+}
 
 } // namespace dice
 

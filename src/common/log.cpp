@@ -1,7 +1,8 @@
 #include "log.hpp"
 
-#include <cstring>
 #include <mutex>
+
+#include "common/knobs.hpp"
 
 namespace dice
 {
@@ -37,14 +38,7 @@ vreport(const char *tag, const char *file, int line, const char *fmt,
 LogLevel
 logLevel()
 {
-    const char *env = std::getenv("DICE_LOG_LEVEL");
-    if (env == nullptr)
-        return LogLevel::Warn;
-    if (std::strcmp(env, "quiet") == 0 || std::strcmp(env, "0") == 0)
-        return LogLevel::Quiet;
-    if (std::strcmp(env, "debug") == 0 || std::strcmp(env, "2") == 0)
-        return LogLevel::Debug;
-    return LogLevel::Warn;
+    return static_cast<LogLevel>(knobLevel(Knob::LogLevel));
 }
 
 void

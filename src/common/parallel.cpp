@@ -1,7 +1,6 @@
 #include "parallel.hpp"
 
 #include <atomic>
-#include <cstdlib>
 
 namespace dice
 {
@@ -92,18 +91,6 @@ parallelFor(std::size_t n, unsigned jobs,
     for (std::size_t t = 0; t < threads; ++t)
         pool.submit(drain);
     pool.wait();
-}
-
-unsigned
-jobsFromEnv(const char *env_name)
-{
-    if (const char *env = std::getenv(env_name)) {
-        const unsigned long v = std::strtoul(env, nullptr, 10);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
 }
 
 } // namespace dice

@@ -67,12 +67,6 @@ class ThreadPool
 void parallelFor(std::size_t n, unsigned jobs,
                  const std::function<void(std::size_t)> &fn);
 
-/**
- * Worker-thread count from environment variable @p env_name (values
- * >= 1), falling back to the hardware concurrency (at least 1).
- */
-unsigned jobsFromEnv(const char *env_name);
-
 } // namespace dice
 
 #endif // DICE_COMMON_PARALLEL_HPP

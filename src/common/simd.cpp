@@ -6,7 +6,7 @@
 
 #include "common/simd.hpp"
 
-#include <cstdlib>
+#include "common/knobs.hpp"
 
 namespace dice::simd
 {
@@ -19,11 +19,7 @@ std::atomic<int> g_force_scalar{-1};
 int
 readForceScalarEnv()
 {
-    const char *env = std::getenv("DICE_FORCE_SCALAR");
-    const int v = (env != nullptr && env[0] != '\0' &&
-                   !(env[0] == '0' && env[1] == '\0'))
-                      ? 1
-                      : 0;
+    const int v = knobFlag(Knob::ForceScalar) ? 1 : 0;
     // Another thread may race the first read; both write the same
     // value, so a plain store is fine.
     g_force_scalar.store(v, std::memory_order_relaxed);

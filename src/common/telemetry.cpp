@@ -2,44 +2,12 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 
 #include "common/log.hpp"
 
 namespace dice
 {
-
-namespace
-{
-
-std::string
-envOr(const char *name, const char *fallback)
-{
-    const char *v = std::getenv(name);
-    return v != nullptr ? v : fallback;
-}
-
-bool
-envFlag(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v != nullptr && std::strcmp(v, "0") != 0 &&
-           std::strcmp(v, "") != 0;
-}
-
-bool
-writeStringTo(const std::string &path, const std::string &content)
-{
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        return false;
-    out << content;
-    return static_cast<bool>(out);
-}
-
-} // namespace
 
 void
 StatRegistry::add(std::string path, Provider provider)
@@ -218,104 +186,14 @@ StatRegistry::toJson() const
     return out;
 }
 
-std::string
-StatRegistry::toCsv() const
-{
-    std::string out = "scope,refs,stat,value\n";
-    char buf[64];
-    auto appendRow = [&out, &buf](const char *scope, std::uint64_t refs,
-                                  const std::string &name, double value) {
-        std::snprintf(buf, sizeof buf, "%llu",
-                      static_cast<unsigned long long>(refs));
-        out += scope;
-        out += ',';
-        out += buf;
-        out += ',';
-        out += name;
-        out += ',';
-        std::snprintf(buf, sizeof buf, "%.17g", value);
-        out += buf;
-        out += '\n';
-    };
-    for (const auto &[name, value] : flatten())
-        appendRow("final", 0, name, value);
-    for (std::size_t s = 0; s < intervals_.size(); ++s) {
-        const Snapshot &snap = intervals_[s];
-        for (const auto &[name, value] : snap.values)
-            appendRow(snap.label.c_str(), snap.refs, name, value);
-        for (const auto &[name, dv] : intervalDeltas(s))
-            appendRow(snap.label.c_str(), snap.refs, name + ".delta",
-                      dv);
-    }
-    return out;
-}
-
 bool
 StatRegistry::writeJson(const std::string &path) const
 {
-    return writeStringTo(path, toJson());
-}
-
-bool
-StatRegistry::writeCsv(const std::string &path) const
-{
-    return writeStringTo(path, toCsv());
-}
-
-std::string
-statsJsonDir()
-{
-    return envOr("DICE_STATS_JSON", "");
-}
-
-std::string
-statsCsvDir()
-{
-    return envOr("DICE_STATS_CSV", "");
-}
-
-std::uint64_t
-statsIntervalRefs()
-{
-    const char *v = std::getenv("DICE_STATS_INTERVAL");
-    return v != nullptr ? std::strtoull(v, nullptr, 10) : 0;
-}
-
-bool
-decisionTraceEnabled()
-{
-    return envFlag("DICE_DECISION_TRACE");
-}
-
-bool
-progressEnabled()
-{
-    return envFlag("DICE_PROGRESS");
-}
-
-std::string
-sweepResultsDir()
-{
-    return envOr("DICE_SWEEP_RESULTS", "");
-}
-
-std::string
-sweepMergedPath()
-{
-    return envOr("DICE_SWEEP_MERGED", "");
-}
-
-double
-sweepStragglerK()
-{
-    const char *v = std::getenv("DICE_SWEEP_STRAGGLER_K");
-    if (v != nullptr && *v != '\0') {
-        char *end = nullptr;
-        const double k = std::strtod(v, &end);
-        if (end != v && k > 0.0)
-            return k;
-    }
-    return 4.0;
+    std::ofstream out(path, std::ios::trunc);
+    if (!out)
+        return false;
+    out << toJson();
+    return static_cast<bool>(out);
 }
 
 std::string

@@ -1,8 +1,8 @@
 /**
  * @file
  * Simulator-wide telemetry: a hierarchical registry of StatGroups with
- * machine-readable export, plus the environment knobs that gate every
- * observability feature.
+ * a JSON export. The knobs that gate every observability feature live
+ * in common/knobs.hpp.
  *
  * A StatRegistry owns a list of (path, provider) pairs, where each
  * provider materializes a StatGroup on demand. Because StatGroup
@@ -12,15 +12,9 @@
  * the same registry serves both the end-of-run export and the interval
  * snapshots taken mid-run (warmup vs steady state).
  *
- * Export formats:
- *  - JSON (DICE_STATS_JSON=<dir>): one self-contained document per
- *    simulation cell, groups keyed by path plus an "intervals" array.
- *  - CSV  (DICE_STATS_CSV=<dir>): flat group,stat,value rows for
- *    spreadsheet-style diffing between runs.
- *
- * Every knob is re-read from the environment at use time (none of
- * these paths are hot), so tests and long-lived processes can flip
- * them between sweeps.
+ * With DICE_STATS_JSON=<dir> the bench harness writes one
+ * self-contained document per simulation cell: groups keyed by path
+ * plus an "intervals" array.
  */
 
 #ifndef DICE_COMMON_TELEMETRY_HPP
@@ -37,7 +31,7 @@
 namespace dice
 {
 
-/** Hierarchical collection of StatGroups with JSON/CSV export. */
+/** Hierarchical collection of StatGroups with JSON export. */
 class StatRegistry
 {
   public:
@@ -80,8 +74,7 @@ class StatRegistry
      * snapshot is differenced against zero). For cumulative counters
      * this is the work done *within* the interval — what rate plots
      * and warmup-vs-steady comparisons actually want. Exported as the
-     * "deltas" object per interval in toJson() and as "<name>.delta"
-     * rows in toCsv().
+     * "deltas" object per interval in toJson().
      */
     std::vector<std::pair<std::string, double>>
     intervalDeltas(std::size_t i) const;
@@ -96,12 +89,8 @@ class StatRegistry
      */
     std::string toJson() const;
 
-    /** Flat "group,stat,value" CSV (intervals get a refs column). */
-    std::string toCsv() const;
-
-    /** Write toJson()/toCsv() to @p path; false on I/O failure. */
+    /** Write toJson() to @p path; false on I/O failure. */
     bool writeJson(const std::string &path) const;
-    bool writeCsv(const std::string &path) const;
 
   private:
     std::vector<std::pair<std::string, Provider>> groups_;
@@ -113,35 +102,6 @@ void appendJsonEscaped(std::string &out, const std::string &s);
 
 /** Append @p v as a JSON number ("null" for NaN/infinity). */
 void appendJsonNumber(std::string &out, double v);
-
-/** DICE_STATS_JSON: directory for per-cell stats JSON ("" = off). */
-std::string statsJsonDir();
-
-/** DICE_STATS_CSV: directory for per-cell stats CSV ("" = off). */
-std::string statsCsvDir();
-
-/** DICE_STATS_INTERVAL: refs between interval snapshots (0 = off). */
-std::uint64_t statsIntervalRefs();
-
-/** DICE_DECISION_TRACE=1: record per-access decision rings. */
-bool decisionTraceEnabled();
-
-/** DICE_PROGRESS=1: bench-harness progress line. */
-bool progressEnabled();
-
-/** DICE_SWEEP_RESULTS: directory for distributed-sweep output
- *  (per-cell docs, leases, event journals, summary, timeline).
- *  "" = harness default (<bench cache dir>/results); set, it also
- *  makes a serial run write one. */
-std::string sweepResultsDir();
-
-/** DICE_SWEEP_MERGED: path for the canonical merged sweep document
- *  ("" = not written). */
-std::string sweepMergedPath();
-
-/** DICE_SWEEP_STRAGGLER_K: a cell slower than k x p90 of the batch's
- *  cell latencies is flagged as a straggler (default 4.0). */
-double sweepStragglerK();
 
 /** Make @p name safe as a file stem ([A-Za-z0-9._-], rest -> '_'). */
 std::string sanitizeFileStem(const std::string &name);

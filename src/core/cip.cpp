@@ -3,15 +3,15 @@
 #include <cstdio>
 
 #include "common/bitops.hpp"
+#include "common/knobs.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
-#include "common/telemetry.hpp"
 
 namespace dice
 {
 
 Cip::Cip(std::uint32_t ltt_entries)
-    : ltt_(ltt_entries, 0), trace_enabled_(decisionTraceEnabled())
+    : ltt_(ltt_entries, 0), trace_enabled_(knobFlag(Knob::DecisionTrace))
 {
     dice_assert(ltt_entries > 0, "CIP with empty LTT");
 }

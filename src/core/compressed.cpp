@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/bitops.hpp"
+#include "common/knobs.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
@@ -34,7 +35,7 @@ CompressedDramCache::CompressedDramCache(
       indexer_(floorLog2(config.base.capacity / kLineSize)),
       mapper_(config.base.timing), source_(source),
       cip_(config.cip_entries), sets_(config.base.capacity / kLineSize),
-      trace_enabled_(decisionTraceEnabled())
+      trace_enabled_(knobFlag(Knob::DecisionTrace))
 {
     dice_assert(isPowerOfTwo(config.base.capacity / kLineSize),
                 "compressed cache needs a power-of-two set count");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/knobs.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/sweep_events.hpp"
@@ -66,7 +67,7 @@ System::System(const SystemConfig &config,
     // mismatched parameter groups panic) and returns null for "none".
     l4_ = L4Registry::instance().create(cfg_.l4, datagen_);
 
-    stats_interval_refs_ = statsIntervalRefs();
+    stats_interval_refs_ = knobCount(Knob::StatsInterval);
     registerStats();
 }
 

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
@@ -20,17 +19,9 @@ namespace
 constexpr char kMagic[8] = {'D', 'I', 'C', 'E', 'A', 'R', 'N', 'A'};
 constexpr std::size_t kHeaderBytes = 32;
 
-/** Stable FNV-1a over a byte range (same scheme as the result cache). */
-std::uint64_t
-fnv1aBytes(const char *data, std::size_t size)
-{
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    for (std::size_t i = 0; i < size; ++i) {
-        h ^= static_cast<std::uint8_t>(data[i]);
-        h *= 0x100000001B3ull;
-    }
-    return h;
-}
+/** Claim age beyond which its holder is presumed dead. Generation
+ *  takes seconds, so ten minutes is long past any live holder. */
+constexpr std::uint64_t kStaleClaimSeconds = 600;
 
 void
 putU32(std::string &out, std::uint32_t v)
@@ -69,7 +60,7 @@ ArenaStore::fileStem(const ArenaStoreKey &key)
     id += '|';
     id += std::to_string(kFormatVersion);
     return sanitizeFileStem(key.workload) + "." +
-           std::to_string(mix64(fnv1aBytes(id.data(), id.size())));
+           std::to_string(mix64(fnv1a(id)));
 }
 
 std::filesystem::path
@@ -97,7 +88,7 @@ ArenaStore::serialize(const TraceSet &set, std::string &out)
     putU32(out, kFormatVersion);
     putU32(out, static_cast<std::uint32_t>(set.streams.size()));
     putU64(out, payload.size());
-    putU64(out, fnv1aBytes(payload.data(), payload.size()));
+    putU64(out, fnv1a(payload));
     out += payload;
 }
 
@@ -119,7 +110,7 @@ ArenaStore::deserialize(const char *data, std::size_t size,
     if (payload_size != size - kHeaderBytes)
         return false;
     const char *payload = data + kHeaderBytes;
-    if (fnv1aBytes(payload, payload_size) != checksum)
+    if (fnv1a({payload, payload_size}) != checksum)
         return false;
 
     out.streams.clear();
@@ -203,14 +194,6 @@ ArenaStore::Claim::release()
     path_.clear();
 }
 
-std::uint64_t
-ArenaStore::staleClaimSeconds()
-{
-    if (const char *env = std::getenv("DICE_ARENA_CLAIM_STALE_S"))
-        return std::strtoull(env, nullptr, 10);
-    return 600;
-}
-
 bool
 ArenaStore::tryClaim(const ArenaStoreKey &key, Claim &claim) const
 {
@@ -243,9 +226,7 @@ ArenaStore::tryClaim(const ArenaStoreKey &key, Claim &claim) const
 bool
 ArenaStore::claimHolderAlive(const ArenaStoreKey &key) const
 {
-    // Generation takes seconds, so a claim older than the stale
-    // threshold means the holder is gone.
-    return claimFileLive(claimPath(key), staleClaimSeconds());
+    return claimFileLive(claimPath(key), kStaleClaimSeconds);
 }
 
 } // namespace dice

@@ -32,7 +32,7 @@
  * workers that miss on the same key wait for the claim holder's
  * result instead of generating a duplicate. A claim whose process has
  * died (same host, pid gone) or whose file has gone stale (mtime
- * older than the stale threshold — the shared-filesystem fallback) is
+ * older than 600 s — the shared-filesystem fallback) is
  * broken with a warning, so a crashed worker never wedges later runs.
  */
 
@@ -142,9 +142,6 @@ class ArenaStore
      * result, the waiter claims and generates itself.
      */
     bool claimHolderAlive(const ArenaStoreKey &key) const;
-
-    /** Claim age beyond which it is presumed dead (seconds). */
-    static std::uint64_t staleClaimSeconds();
 
   private:
     std::filesystem::path claimPath(const ArenaStoreKey &key) const;

@@ -1,9 +1,9 @@
 #include "trace_arena.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
+#include "common/knobs.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
 #include "common/sweep_events.hpp"
@@ -17,32 +17,12 @@ namespace dice
 namespace
 {
 
-/** Default resident budget when DICE_TRACE_ARENA_BYTES is unset. */
-constexpr std::uint64_t kDefaultBudgetBytes = 512_MiB;
+/** Resident budget; setByteBudget overrides it. */
+constexpr std::uint64_t kBudgetBytes = 512_MiB;
 
 /** How long a miss waits on another process's generation claim before
- *  giving up and generating its own copy (DICE_ARENA_WAIT_MS). */
-std::uint64_t
-claimWaitMs()
-{
-    if (const char *env = std::getenv("DICE_ARENA_WAIT_MS"))
-        return std::strtoull(env, nullptr, 10);
-    return 120'000;
-}
-
-/** Environment-derived spill directory ("" = store disabled). */
-std::string
-storeDirFromEnv()
-{
-    if (std::getenv("DICE_BENCH_NO_CACHE") != nullptr)
-        return "";
-    if (const char *env = std::getenv("DICE_ARENA_DIR"))
-        return env;
-    std::string base = "bench_cache";
-    if (const char *env = std::getenv("DICE_BENCH_CACHE_DIR"))
-        base = env;
-    return base + "/arena";
-}
+ *  giving up and generating its own copy. */
+constexpr std::uint64_t kClaimWaitMs = 120'000;
 
 /**
  * The cross-process protocol of a store-backed miss. Returns true with
@@ -62,7 +42,7 @@ loadOrAwait(const ArenaStore &store, const ArenaStoreKey &key,
         return true;
 
     const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(claimWaitMs());
+                          std::chrono::milliseconds(kClaimWaitMs);
     for (;;) {
         if (store.tryClaim(key, claim)) {
             // Double-check under the claim: the previous holder may
@@ -81,7 +61,7 @@ loadOrAwait(const ArenaStore &store, const ArenaStoreKey &key,
         if (std::chrono::steady_clock::now() >= deadline) {
             dice_warn("arena: waited %llu ms on claim for %s; "
                       "generating a duplicate",
-                      static_cast<unsigned long long>(claimWaitMs()),
+                      static_cast<unsigned long long>(kClaimWaitMs),
                       key.workload.c_str());
             return false;
         }
@@ -131,11 +111,7 @@ TraceArena::instance()
     return arena;
 }
 
-TraceArena::TraceArena() : budget_bytes_(kDefaultBudgetBytes)
-{
-    if (const char *env = std::getenv("DICE_TRACE_ARENA_BYTES"))
-        budget_bytes_ = std::strtoull(env, nullptr, 10);
-}
+TraceArena::TraceArena() : budget_bytes_(kBudgetBytes) {}
 
 TraceArena::~TraceArena() = default;
 
@@ -146,7 +122,7 @@ TraceArena::storeForUse() const
     {
         std::unique_lock lock(mu_);
         dir = store_dir_override_.has_value() ? *store_dir_override_
-                                              : storeDirFromEnv();
+                                              : arenaStoreDir();
     }
     if (dir.empty())
         return nullptr;

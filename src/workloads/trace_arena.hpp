@@ -13,18 +13,19 @@
  *
  * Concurrency: requests are deduplicated with per-key futures, so
  * racing sweep workers never generate a stream twice. Memory: resident
- * sets are LRU-evicted past a byte budget (DICE_TRACE_ARENA_BYTES;
- * callers keep shared_ptr ownership, so eviction only drops the cache
- * entry, never a stream in use).
+ * sets are LRU-evicted past a 512 MiB byte budget (callers keep
+ * shared_ptr ownership, so eviction only drops the cache entry, never
+ * a stream in use).
  *
  * Persistence: misses fall back disk-before-generate through an
  * ArenaStore under `bench_cache/arena/` — a stream any process on
  * this machine (or this shared filesystem) ever generated is loaded
  * back instead of regenerated, and freshly generated streams are
  * spilled for everyone else. O_EXCL claim files make generation
- * exactly-once across concurrent worker processes. Disabled together
- * with the result cache (DICE_BENCH_NO_CACHE=1); DICE_ARENA_DIR
- * overrides the directory.
+ * exactly-once across concurrent worker processes. The directory
+ * comes from arenaStoreDir() (common/knobs.hpp): DICE_ARENA_DIR, else
+ * <cache dir>/arena, and off together with the result cache under
+ * DICE_BENCH_NO_CACHE.
  *
  * Observability: with a sweep journal open, a miss journals an
  * arena_load span around the store lookup and an arena_spill span
@@ -99,7 +100,7 @@ class TraceArena
     /** The process-wide instance the bench harness shares. */
     static TraceArena &instance();
 
-    /** Byte budget from DICE_TRACE_ARENA_BYTES (default 512 MiB). */
+    /** Starts with a 512 MiB resident byte budget. */
     TraceArena();
 
     ~TraceArena();
@@ -146,9 +147,7 @@ class TraceArena
     /**
      * Override the persistent store location (tests): a path pins the
      * spill directory, an empty string disables the store, and
-     * std::nullopt restores the environment-derived default
-     * (DICE_ARENA_DIR / bench_cache/arena, gated by
-     * DICE_BENCH_NO_CACHE).
+     * std::nullopt restores arenaStoreDir().
      */
     void setStoreDirForTest(std::optional<std::string> dir);
 

@@ -1,11 +1,12 @@
 /**
  * @file
  * End-to-end observability tests through the bench harness: a sweep
- * run with DICE_STATS_JSON / DICE_STATS_CSV must leave one valid,
- * complete stats document per fresh cell, a serial sweep with
- * DICE_SWEEP_RESULTS must merge its journal into a Perfetto-loadable
- * timeline with every cell's phases nested on one thread lane, and
- * DICE_PROGRESS must produce the heartbeat line.
+ * run with DICE_STATS_JSON must leave one valid, complete stats
+ * document per fresh cell, a serial sweep with DICE_SWEEP_RESULTS
+ * must merge its journal into a Perfetto-loadable timeline with every
+ * cell's phases nested on one thread lane and report the effective
+ * knob set in sweep_summary.json, and DICE_PROGRESS must produce the
+ * heartbeat line.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/knobs.hpp"
 #include "common/sweep_events.hpp"
 #include "common/telemetry.hpp"
 #include "harness.hpp"
@@ -71,7 +73,6 @@ class StatsExportTest : public ::testing::Test
     TearDown() override
     {
         unsetenv("DICE_STATS_JSON");
-        unsetenv("DICE_STATS_CSV");
         unsetenv("DICE_STATS_INTERVAL");
         unsetenv("DICE_PROGRESS");
     }
@@ -81,7 +82,6 @@ TEST_F(StatsExportTest, SweepWritesOneValidJsonPerCell)
 {
     const fs::path dir = scratchDir("dice_stats_json");
     setenv("DICE_STATS_JSON", dir.c_str(), 1);
-    setenv("DICE_STATS_CSV", dir.c_str(), 1);
     // Half-run snapshots: every cell gets at least one warmup and one
     // measurement interval at this refs budget.
     setenv("DICE_STATS_INTERVAL", "600", 1);
@@ -152,11 +152,6 @@ TEST_F(StatsExportTest, SweepWritesOneValidJsonPerCell)
             }
             EXPECT_TRUE(saw_warmup) << stem;
             EXPECT_TRUE(saw_measure) << stem;
-
-            // The CSV twin exists and has the expected header.
-            const std::string csv = slurp(dir / (stem + ".csv"));
-            EXPECT_EQ(csv.rfind("scope,refs,stat,value", 0), 0u);
-            EXPECT_NE(csv.find("final,"), std::string::npos);
         }
     }
 
@@ -166,6 +161,18 @@ TEST_F(StatsExportTest, SweepWritesOneValidJsonPerCell)
 TEST_F(StatsExportTest, SweepEmitsAPerfettoLoadableTrace)
 {
     const fs::path results = scratchDir("dice_sweep_timeline");
+    // Every knob the fixture and this test do not set reads as its
+    // default, whatever the caller's environment holds.
+    const std::map<std::string, std::string> set_here = {
+        {"DICE_BENCH_REFS", "1200"},
+        {"DICE_BENCH_NO_CACHE", "1"},
+        {"DICE_BENCH_JOBS", "2"},
+        {"DICE_SWEEP_RESULTS", results.string()},
+    };
+    for (const KnobSpec &s : knobTable()) {
+        if (set_here.count(s.name) == 0)
+            unsetenv(s.name);
+    }
     setenv("DICE_SWEEP_RESULTS", results.c_str(), 1);
 
     const std::vector<std::string> workloads = {rateNames()[1],
@@ -178,6 +185,19 @@ TEST_F(StatsExportTest, SweepEmitsAPerfettoLoadableTrace)
     runSweep(workloads, orgs);
     SweepJournal::instance().close();
     unsetenv("DICE_SWEEP_RESULTS");
+
+    // The summary's "knobs" object names exactly the table's knobs,
+    // echoes the values set above and shows defaults for the rest.
+    auto summary = testjson::parse(slurp(results / "sweep_summary.json"));
+    const auto &knobs = summary->at("knobs");
+    ASSERT_EQ(knobs.object.size(), knobTable().size());
+    for (const KnobSpec &s : knobTable()) {
+        ASSERT_TRUE(knobs.has(s.name)) << s.name;
+        const auto it = set_here.find(s.name);
+        EXPECT_EQ(knobs.at(s.name).string,
+                  it != set_here.end() ? it->second : s.fallback)
+            << s.name;
+    }
 
     // The serial run merged its journal into a loadable timeline.
     auto doc = testjson::parse(slurp(results / "timeline.json"));

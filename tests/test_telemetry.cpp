@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests of the observability layer: decision-ring wrap semantics, the
- * StatRegistry (duplicate detection, interval snapshots, JSON/CSV
- * export round-tripped through a real parser), level-filtered
+ * StatRegistry (duplicate detection, interval snapshots, JSON export
+ * round-tripped through a real parser), level-filtered
  * thread-safe logging, and the CIP / DICE install decision traces.
  */
 
@@ -292,40 +292,6 @@ TEST(StatRegistry, IntervalDeltasDifferenceConsecutiveSnapshots)
     EXPECT_EQ(jiv.array[1]->at("deltas").at("sys.refs").number, 150.0);
     EXPECT_EQ(jiv.array[1]->at("deltas").at("sys.hits").number, 20.0);
     EXPECT_EQ(jiv.array[1]->at("values").at("sys.refs").number, 250.0);
-
-    // CSV: "<name>.delta" rows scoped to the interval's label/refs.
-    const std::string csv = reg.toCsv();
-    EXPECT_NE(csv.find("warmup,100,sys.refs.delta,100"),
-              std::string::npos);
-    EXPECT_NE(csv.find("measure,250,sys.refs.delta,150"),
-              std::string::npos);
-    EXPECT_NE(csv.find("measure,250,sys.hits.delta,20"),
-              std::string::npos);
-}
-
-TEST(StatRegistry, CsvHasHeaderFinalRowsAndIntervalRows)
-{
-    Counter c;
-    c += 3;
-    StatRegistry reg;
-    reg.add("g", [&c] {
-        StatGroup g("g");
-        g.addCounter("count", c);
-        return g;
-    });
-    reg.captureInterval("warmup", 10);
-
-    const std::string csv = reg.toCsv();
-    std::istringstream in(csv);
-    std::string line;
-    std::vector<std::string> lines;
-    while (std::getline(in, line))
-        lines.push_back(line);
-
-    ASSERT_GE(lines.size(), 3u);
-    EXPECT_EQ(lines[0], "scope,refs,stat,value");
-    EXPECT_NE(csv.find("warmup,10,g.count,3"), std::string::npos);
-    EXPECT_NE(csv.find("final,"), std::string::npos);
 }
 
 TEST(StatRegistry, WriteJsonCreatesAParsableFile)
@@ -343,32 +309,6 @@ TEST(StatRegistry, WriteJsonCreatesAParsableFile)
     fs::remove(path);
 
     EXPECT_FALSE(reg.writeJson("/nonexistent-dir/x/y.json"));
-}
-
-TEST(Telemetry, EnvKnobsAreReadPerCall)
-{
-    unsetenv("DICE_STATS_JSON");
-    unsetenv("DICE_STATS_INTERVAL");
-    unsetenv("DICE_DECISION_TRACE");
-    unsetenv("DICE_PROGRESS");
-    EXPECT_EQ(statsJsonDir(), "");
-    EXPECT_EQ(statsIntervalRefs(), 0u);
-    EXPECT_FALSE(decisionTraceEnabled());
-    EXPECT_FALSE(progressEnabled());
-
-    setenv("DICE_STATS_JSON", "/tmp/stats", 1);
-    setenv("DICE_STATS_INTERVAL", "5000", 1);
-    setenv("DICE_DECISION_TRACE", "1", 1);
-    setenv("DICE_PROGRESS", "1", 1);
-    EXPECT_EQ(statsJsonDir(), "/tmp/stats");
-    EXPECT_EQ(statsIntervalRefs(), 5000u);
-    EXPECT_TRUE(decisionTraceEnabled());
-    EXPECT_TRUE(progressEnabled());
-
-    unsetenv("DICE_STATS_JSON");
-    unsetenv("DICE_STATS_INTERVAL");
-    unsetenv("DICE_DECISION_TRACE");
-    unsetenv("DICE_PROGRESS");
 }
 
 TEST(Telemetry, SanitizeFileStem)

@@ -3,7 +3,8 @@
  * Tests of the shared trace arena: packed-stream round-tripping,
  * replay/live equivalence, keying, LRU byte-budget eviction, and the
  * sweep-level guarantee that a cold-cache multi-organization sweep
- * generates each (workload, seed) stream exactly once.
+ * generates each (workload, seed) stream exactly once, and that
+ * DICE_BENCH_NO_CACHE=0 leaves persistence on.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,10 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#ifndef _WIN32
+#include <unistd.h>
+#endif
 
 #include "common/sweep_events.hpp"
 #include "harness.hpp"
@@ -276,6 +281,52 @@ TEST(TraceArena, ColdSweepGeneratesEachStreamOnce)
     EXPECT_EQ(s.generations, workloads.size());
     EXPECT_EQ(s.hits, workloads.size());
     unsetenv("DICE_BENCH_NO_CACHE");
+    unsetenv("DICE_BENCH_REFS");
+    unsetenv("DICE_BENCH_JOBS");
+}
+
+/** Files directly under @p dir with extension @p ext. */
+std::size_t
+countFiles(const std::filesystem::path &dir, const std::string &ext)
+{
+    std::size_t n = 0;
+    std::error_code ec;
+    for (const auto &entry : std::filesystem::directory_iterator(dir, ec))
+        n += entry.path().extension() == ext ? 1 : 0;
+    return n;
+}
+
+/**
+ * DICE_BENCH_NO_CACHE follows the one flag rule: "0" is off, so a
+ * sweep still writes its result file and spills its stream.
+ */
+TEST(TraceArena, NoCacheZeroKeepsTheCacheAndTheStore)
+{
+    const std::filesystem::path cache =
+        std::filesystem::temp_directory_path() /
+        ("dice_no_cache_zero." + std::to_string(::getpid()));
+    std::filesystem::remove_all(cache);
+    setenv("DICE_BENCH_NO_CACHE", "0", 1);
+    setenv("DICE_BENCH_CACHE_DIR", cache.c_str(), 1);
+    unsetenv("DICE_ARENA_DIR");
+    setenv("DICE_BENCH_REFS", "1000", 1);
+    setenv("DICE_BENCH_JOBS", "2", 1);
+
+    TraceArena &arena = TraceArena::instance();
+    arena.clear();
+    arena.setByteBudget(512_MiB);
+    arena.setStoreDirForTest(std::nullopt);
+
+    const SystemConfig base =
+        bench::configureBaseline(bench::defaultBase());
+    bench::runSweep({bench::rateNames()[2]}, {{base, "nocache0:base"}});
+
+    EXPECT_EQ(countFiles(cache, ".result"), 1u);
+    EXPECT_EQ(countFiles(cache / "arena", ".trace"), 1u);
+    EXPECT_EQ(arena.stats().spills, 1u);
+    std::filesystem::remove_all(cache);
+    unsetenv("DICE_BENCH_NO_CACHE");
+    unsetenv("DICE_BENCH_CACHE_DIR");
     unsetenv("DICE_BENCH_REFS");
     unsetenv("DICE_BENCH_JOBS");
 }
