@@ -24,13 +24,10 @@
 #include <filesystem>
 #include <new>
 
-#include "common/simd.hpp"
 #include "common/sweep_events.hpp"
-#include "compress/hybrid.hpp"
 #include "core/tad.hpp"
 #include "harness.hpp"
 #include "workloads/arena_store.hpp"
-#include "workloads/datagen.hpp"
 #include "workloads/trace_arena.hpp"
 
 // Global heap-allocation counter (same scheme as micro_compress).
@@ -348,11 +345,10 @@ DICE_SIM_BENCH(touche);
 #undef DICE_SIM_BENCH
 
 /**
- * The TAD-set scan kernels in isolation: per iteration one hit probe,
- * one miss probe, and one evict + refill on a full wide set (SCC
- * geometry, 32 items — the worst-case scan length). Run it with
- * DICE_FORCE_SCALAR=1 to see the dispatched-vs-scalar kernel delta
- * without the rest of the simulator in the way.
+ * The TAD-set scans in isolation: per iteration one hit probe, one
+ * miss probe, and one evict + refill on a full wide set (SCC
+ * geometry, 32 items — the worst-case scan length), without the rest
+ * of the simulator in the way.
  */
 void
 BM_SetScan(benchmark::State &state)
@@ -381,46 +377,11 @@ BM_SetScan(benchmark::State &state)
         set.insertSingle(stamp * 2, 0, false, stamp, false, stamp);
         hit_line = stamp * 2;
     }
-    state.SetLabel(dice::simd::backendName());
     state.counters["scans_per_sec"] = benchmark::Counter(
         3.0 * static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SetScan);
-
-/**
- * Batched size-only codec route over a class-diverse line batch —
- * the FPC prefix classification and BDI delta-width checks that
- * dominate sizeOf() misses. Label reports the active SIMD backend.
- */
-void
-BM_BatchSize(benchmark::State &state)
-{
-    constexpr std::size_t kBatch = 64;
-    constexpr dice::CompClass kClasses[] = {
-        dice::CompClass::Zero, dice::CompClass::Ptr,
-        dice::CompClass::Int,  dice::CompClass::C36,
-        dice::CompClass::Half, dice::CompClass::Rand,
-    };
-    dice::Line lines[kBatch];
-    for (std::size_t i = 0; i < kBatch; ++i) {
-        lines[i] = dice::DataGenerator::synthesize(
-            kClasses[i % std::size(kClasses)],
-            static_cast<dice::LineAddr>(i), /*version=*/i * 7 + 1);
-    }
-    const dice::HybridCodec codec;
-    std::uint32_t sizes[kBatch];
-    for (auto _ : state) {
-        codec.compressedSizeBytes(lines, kBatch, sizes);
-        benchmark::DoNotOptimize(sizes[0]);
-    }
-    state.SetLabel(dice::simd::backendName());
-    state.counters["lines_per_sec"] = benchmark::Counter(
-        static_cast<double>(kBatch) *
-            static_cast<double>(state.iterations()),
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_BatchSize);
 
 /** Allocations one full System lifetime (construct + run) performs. */
 std::size_t
@@ -472,9 +433,7 @@ runCheck()
         long_allocs > short_allocs ? long_allocs - short_allocs : 0;
     const double per_ref = static_cast<double>(delta) / extra_refs;
 
-    std::printf("micro_simloop --check (16 Ki-set dice cell, simd "
-                "backend: %s)\n",
-                dice::simd::backendName());
+    std::printf("micro_simloop --check (16 Ki-set dice cell)\n");
     std::printf("  allocs short run (%llu refs/core): %zu\n",
                 static_cast<unsigned long long>(kShortRefs),
                 short_allocs);

@@ -42,8 +42,6 @@ knobTable()
          "record per-access CIP and DICE decision rings"},
         {"DICE_LOG_LEVEL", "warn", KnobRule::Level,
          "log verbosity: quiet, warn or debug"},
-        {"DICE_FORCE_SCALAR", "0", KnobRule::Flag,
-         "run the scalar reference of every SIMD kernel"},
         {"DICE_SWEEP_RESULTS", "", KnobRule::Text,
          "sweep results directory (default <cache dir>/results)"},
         {"DICE_SWEEP_MERGED", "", KnobRule::Text,

@@ -11,8 +11,7 @@
  * anything else; a Count is a whole number >= 1, a Whole one >= 0, a
  * Real a positive real, a Level quiet|0, warn|1 or debug|2. A value
  * that does not parse fully draws one warning per knob and reads as
- * the default. DICE_FORCE_SCALAR is latched by the SIMD dispatch on
- * first use (common/simd.hpp).
+ * the default.
  */
 
 #ifndef DICE_COMMON_KNOBS_HPP
@@ -42,11 +41,11 @@ enum class Knob : std::uint8_t
 {
     BenchRefs, BenchJobs, BenchCacheDir, BenchNoCache, ArenaDir,
     BenchOrgs, StatsJson, StatsInterval, Progress, DecisionTrace,
-    LogLevel, ForceScalar, SweepResults, SweepMerged, SweepLeaseStaleS,
+    LogLevel, SweepResults, SweepMerged, SweepLeaseStaleS,
     SweepStragglerK,
 };
 
-inline constexpr std::size_t kKnobCount = 16;
+inline constexpr std::size_t kKnobCount = 15;
 
 /** The knob table, indexed by Knob. */
 const std::array<KnobSpec, kKnobCount> &knobTable();

@@ -4,7 +4,6 @@
 
 #include "common/bitops.hpp"
 #include "common/log.hpp"
-#include "common/simd.hpp"
 #include "compress/bitstream.hpp"
 
 namespace dice
@@ -30,8 +29,8 @@ storeElem(Line &line, std::uint32_t k, std::uint32_t idx, std::uint64_t v)
 
 /**
  * a - b and a + b in wrapping int64 arithmetic, the codec's delta
- * arithmetic (and simd::deltasFitI64's): 8-byte elements may lie
- * farther apart than int64 can express.
+ * arithmetic (and deltasFit()'s): 8-byte elements may lie farther
+ * apart than int64 can express.
  */
 std::int64_t
 wrapSub(std::int64_t a, std::int64_t b)
@@ -226,6 +225,29 @@ BdiCodec::representable(const Line &line, Mode mode) const
     return true;
 }
 
+bool
+BdiCodec::deltasFit(const std::int64_t *elems, std::uint32_t n_elem,
+                    std::uint32_t delta_bits)
+{
+    // fitsSigned(x, delta_bits), with its bound hoisted out of the loop.
+    const std::int64_t lim = std::int64_t{1} << (delta_bits - 1);
+    std::int64_t base_val = 0;
+    bool base_set = false;
+    for (std::uint32_t i = 0; i < n_elem; ++i) {
+        const std::int64_t val = elems[i];
+        if (val >= -lim && val < lim)
+            continue;
+        if (!base_set) {
+            base_val = val;
+            base_set = true;
+        }
+        const std::int64_t delta = wrapSub(val, base_val);
+        if (delta < -lim || delta >= lim)
+            return false;
+    }
+    return true;
+}
+
 std::uint32_t
 BdiCodec::compressedBits(const Line &line) const
 {
@@ -253,13 +275,12 @@ BdiCodec::compressedBits(const Line &line) const
     if (repeated)
         return payloadBits(Rep8);
 
-    // The per-mode delta-width checks dispatch through
-    // simd::deltasFitI64 (vectorized on AVX2, identical semantics to
-    // the scalar rule representable() applies).
+    // The per-mode delta-width checks apply deltasFit(), the rule
+    // representable() applies, to the shared element arrays.
     std::int64_t e8[kLineSize / 8];
     for (std::uint32_t i = 0; i < kLineSize / 8; ++i)
         e8[i] = static_cast<std::int64_t>(w[i]);
-    if (simd::deltasFitI64(e8, kLineSize / 8, 8))
+    if (deltasFit(e8, kLineSize / 8, 8))
         return payloadBits(B8D1);
 
     std::int64_t e4[kLineSize / 4];
@@ -268,9 +289,9 @@ BdiCodec::compressedBits(const Line &line) const
         std::memcpy(&v, line.data() + 4 * i, 4);
         e4[i] = static_cast<std::int32_t>(v);
     }
-    if (simd::deltasFitI64(e4, kLineSize / 4, 8))
+    if (deltasFit(e4, kLineSize / 4, 8))
         return payloadBits(B4D1);
-    if (simd::deltasFitI64(e8, kLineSize / 8, 16))
+    if (deltasFit(e8, kLineSize / 8, 16))
         return payloadBits(B8D2);
 
     std::int64_t e2[kLineSize / 2];
@@ -279,11 +300,11 @@ BdiCodec::compressedBits(const Line &line) const
         std::memcpy(&v, line.data() + 2 * i, 2);
         e2[i] = static_cast<std::int16_t>(v);
     }
-    if (simd::deltasFitI64(e2, kLineSize / 2, 8))
+    if (deltasFit(e2, kLineSize / 2, 8))
         return payloadBits(B2D1);
-    if (simd::deltasFitI64(e4, kLineSize / 4, 16))
+    if (deltasFit(e4, kLineSize / 4, 16))
         return payloadBits(B4D2);
-    if (simd::deltasFitI64(e8, kLineSize / 8, 32))
+    if (deltasFit(e8, kLineSize / 8, 32))
         return payloadBits(B8D4);
     return 8 * kLineSize;
 }

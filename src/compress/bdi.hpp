@@ -69,8 +69,15 @@ class BdiCodec : public Codec
     /** compressedBits() rounded up to whole bytes. */
     std::uint32_t compressedSizeBytes(const Line &line) const override;
 
-    /** Un-hide the inherited batched overload. */
-    using Codec::compressedSizeBytes;
+    /**
+     * BDI's delta-fit rule over @p n_elem pre-sign-extended elements:
+     * each must fit @p delta_bits signed as an immediate, or as a
+     * wrapping delta from the first element that is not an immediate
+     * (the one explicit base). compressedBits() and the hybrid's pair
+     * sizing size with it; compressInMode() encodes by the same rule.
+     */
+    static bool deltasFit(const std::int64_t *elems, std::uint32_t n_elem,
+                          std::uint32_t delta_bits);
 };
 
 } // namespace dice

@@ -19,7 +19,6 @@
 #define DICE_COMPRESS_COMPRESSOR_HPP
 
 #include <array>
-#include <cstddef>
 #include <cstdint>
 
 #include "common/log.hpp"
@@ -142,16 +141,6 @@ class Codec
      * compress(line).sizeBytes().
      */
     virtual std::uint32_t compressedSizeBytes(const Line &line) const = 0;
-
-    /**
-     * Batched size-only route: out[i] = compressedSizeBytes(lines[i])
-     * for i in [0, n). One virtual call sizes a whole set or packed
-     * span; the default walks the single-line route, and codecs whose
-     * classification vectorizes override it. Result values are always
-     * identical to n single-line calls.
-     */
-    virtual void compressedSizeBytes(const Line *lines, std::size_t n,
-                                     std::uint32_t *out) const;
 };
 
 /** Convenience: an Encoded that stores @p line verbatim. */

@@ -180,17 +180,6 @@ CpackCodec::compressedSizeBytes(const Line &line) const
     return (compressedBits(line) + 7) / 8;
 }
 
-void
-CpackCodec::compressedSizeBytes(const Line *lines, std::size_t n,
-                                std::uint32_t *out) const
-{
-    // C-PACK classification threads every word through the FIFO
-    // dictionary, so there is no wide path to take — the batch entry
-    // exists for interface uniformity and sizes the span serially.
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = compressedSizeBytes(lines[i]);
-}
-
 Line
 CpackCodec::decompress(const Encoded &enc) const
 {

@@ -41,10 +41,6 @@ class CpackCodec : public Codec
     /** compressedBits() rounded up to whole bytes. */
     std::uint32_t compressedSizeBytes(const Line &line) const override;
 
-    /** Batched sizing (sequential inside; see the .cpp note). */
-    void compressedSizeBytes(const Line *lines, std::size_t n,
-                             std::uint32_t *out) const override;
-
     /** Dictionary entries (4 bits of index per full/partial match). */
     static constexpr std::uint32_t kDictEntries = 16;
 

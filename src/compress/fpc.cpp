@@ -2,9 +2,12 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "common/bitops.hpp"
 #include "common/log.hpp"
-#include "common/simd.hpp"
 #include "compress/bitstream.hpp"
 
 namespace dice
@@ -35,59 +38,26 @@ isRepeatedByte(std::uint32_t w)
     return w == rep;
 }
 
-/** Scalar reference classifier (defines the size semantics). */
-std::uint32_t
-fpcBitsScalar(const Line &line)
+#if defined(__x86_64__)
+
+/** Cached cpuid probe: does this CPU execute AVX2? */
+bool
+cpuHasAvx2()
 {
-    constexpr std::uint32_t kWords = kLineSize / 4;
-    std::uint32_t bits = 0;
-    std::uint32_t i = 0;
-    while (i < kWords) {
-        const std::uint32_t w = loadWord(line, i);
-        if (w == 0) {
-            std::uint32_t run = 1;
-            while (run < 8 && i + run < kWords &&
-                   loadWord(line, i + run) == 0) {
-                ++run;
-            }
-            bits += 6;
-            i += run;
-            continue;
-        }
-        const auto sw = static_cast<std::int32_t>(w);
-        const std::uint32_t hi = w >> 16;
-        const std::uint32_t lo = w & 0xFFFF;
-        if (fitsSigned(sw, 4)) {
-            bits += 7;
-        } else if (fitsSigned(sw, 8)) {
-            bits += 11;
-        } else if (fitsSigned(sw, 16)) {
-            bits += 19;
-        } else if (lo == 0) {
-            bits += 19;
-        } else if (fitsSigned(signExtend(hi, 16), 8) &&
-                   fitsSigned(signExtend(lo, 16), 8)) {
-            bits += 19;
-        } else if (isRepeatedByte(w)) {
-            bits += 11;
-        } else {
-            bits += 35;
-        }
-        ++i;
-    }
-    return (bits + 7) / 8 >= kLineSize ? 8 * kLineSize : bits;
+    static const bool has = __builtin_cpu_supports("avx2") != 0;
+    return has;
 }
 
-#if defined(DICE_SIMD_X86)
-
 /**
- * AVX2 twin of fpcBitsScalar: all sixteen words are classified at
- * once, with per-word costs selected by blends applied in reverse
+ * AVX2 twin of FpcCodec::scalarBits: all sixteen words are classified
+ * at once, with per-word costs selected by blends applied in reverse
  * priority order (so the scalar classifier's first match wins), then
  * summed; only the zero-run token loop stays scalar, walking a 16-bit
- * occupancy mask. Exactly matches fpcBitsScalar for every input.
+ * occupancy mask. Exactly matches scalarBits for every input. The
+ * target attribute compiles it for AVX2 even in a portable build;
+ * compressedBits() calls it only when cpuHasAvx2().
  */
-DICE_TARGET_AVX2 std::uint32_t
+__attribute__((target("avx2"))) std::uint32_t
 fpcBitsAvx2(const Line &line)
 {
     const __m256i zero = _mm256_setzero_si256();
@@ -162,18 +132,59 @@ fpcBitsAvx2(const Line &line)
     return (bits + 7) / 8 >= kLineSize ? 8 * kLineSize : bits;
 }
 
-#endif // DICE_SIMD_X86
+#endif // __x86_64__
 
 } // namespace
 
 std::uint32_t
+FpcCodec::scalarBits(const Line &line)
+{
+    std::uint32_t bits = 0;
+    std::uint32_t i = 0;
+    while (i < kWords) {
+        const std::uint32_t w = loadWord(line, i);
+        if (w == 0) {
+            std::uint32_t run = 1;
+            while (run < 8 && i + run < kWords &&
+                   loadWord(line, i + run) == 0) {
+                ++run;
+            }
+            bits += 6;
+            i += run;
+            continue;
+        }
+        const auto sw = static_cast<std::int32_t>(w);
+        const std::uint32_t hi = w >> 16;
+        const std::uint32_t lo = w & 0xFFFF;
+        if (fitsSigned(sw, 4)) {
+            bits += 7;
+        } else if (fitsSigned(sw, 8)) {
+            bits += 11;
+        } else if (fitsSigned(sw, 16)) {
+            bits += 19;
+        } else if (lo == 0) {
+            bits += 19;
+        } else if (fitsSigned(signExtend(hi, 16), 8) &&
+                   fitsSigned(signExtend(lo, 16), 8)) {
+            bits += 19;
+        } else if (isRepeatedByte(w)) {
+            bits += 11;
+        } else {
+            bits += 35;
+        }
+        ++i;
+    }
+    return (bits + 7) / 8 >= kLineSize ? 8 * kLineSize : bits;
+}
+
+std::uint32_t
 FpcCodec::compressedBits(const Line &line) const
 {
-#if defined(DICE_SIMD_X86)
-    if (simd::active())
+#if defined(__x86_64__)
+    if (cpuHasAvx2())
         return fpcBitsAvx2(line);
 #endif
-    return fpcBitsScalar(line);
+    return scalarBits(line);
 }
 
 std::uint32_t

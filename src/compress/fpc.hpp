@@ -27,15 +27,20 @@ class FpcCodec : public Codec
     /**
      * Size of compress(line) in bits without materializing the
      * bitstream (hot path for the cache model). Returns 8*kLineSize
-     * when FPC would fall back to raw storage.
+     * when FPC would fall back to raw storage. On x86 CPUs with AVX2
+     * (a cached cpuid probe) an AVX2 twin of scalarBits() classifies
+     * all sixteen words at once.
      */
     std::uint32_t compressedBits(const Line &line) const;
 
+    /**
+     * The portable classifier behind compressedBits(), which every
+     * other CPU runs; the AVX2 twin must return exactly this.
+     */
+    static std::uint32_t scalarBits(const Line &line);
+
     /** compressedBits() rounded up to whole bytes. */
     std::uint32_t compressedSizeBytes(const Line &line) const override;
-
-    /** Un-hide the inherited batched overload. */
-    using Codec::compressedSizeBytes;
 
     /** Word-level patterns, in prefix order. */
     enum Pattern : std::uint8_t

@@ -4,7 +4,6 @@
 
 #include "common/bitops.hpp"
 #include "common/log.hpp"
-#include "common/simd.hpp"
 #include "compress/bitstream.hpp"
 
 namespace dice
@@ -145,9 +144,9 @@ HybridCodec::pairSizeBytes(const Line &a, const Line &b,
             elems = e2;
         }
         // Same representability rule sharedBaseEncode() applies,
-        // size-only, vectorized on AVX2.
-        if (simd::deltasFitI64(elems, 2 * kLineSize / k,
-                               8 * BdiCodec::deltaBytes(mode)))
+        // size-only.
+        if (BdiCodec::deltasFit(elems, 2 * kLineSize / k,
+                                8 * BdiCodec::deltaBytes(mode)))
             best_bits = bits;
     }
     return (best_bits + 7) / 8;
@@ -195,7 +194,11 @@ HybridCodec::sharedBaseEncode(const Line &a, const Line &b,
             base = raw;
             base_set = true;
         }
-        const std::int64_t delta = val - signExtend(base, 8 * k);
+        // Wrapping, like BDI's delta arithmetic: 8-byte elements may
+        // lie farther apart than int64 can express.
+        const auto delta = static_cast<std::int64_t>(
+            static_cast<std::uint64_t>(val) -
+            static_cast<std::uint64_t>(signExtend(base, 8 * k)));
         if (!fitsSigned(delta, delta_bits))
             return std::nullopt;
         deltas[i] = delta;
@@ -258,10 +261,13 @@ HybridCodec::decompressPair(const EncodedPair &enc) const
     for (std::uint32_t i = 0; i < 2 * n_elem; ++i) {
         const std::int64_t delta = signExtend(br.read(8 * d), 8 * d);
         const bool immediate = (mask >> i) & 1;
-        const std::int64_t val = immediate ? delta : base_val + delta;
+        const std::uint64_t val =
+            immediate ? static_cast<std::uint64_t>(delta)
+                      : static_cast<std::uint64_t>(base_val) +
+                            static_cast<std::uint64_t>(delta);
         Line &dst = i < n_elem ? a : b;
         const std::uint32_t idx = i < n_elem ? i : i - n_elem;
-        storeElem(dst, k, idx, static_cast<std::uint64_t>(val));
+        storeElem(dst, k, idx, val);
     }
     return {a, b};
 }

@@ -64,9 +64,6 @@ class HybridCodec : public Codec
      */
     std::uint32_t compressedSizeBytes(const Line &line) const override;
 
-    /** Un-hide the inherited batched overload. */
-    using Codec::compressedSizeBytes;
-
     /**
      * Joint payload size of the pair (a, b) in bytes, again without
      * materializing a bitstream; equals compressPair(...).sizeBytes().

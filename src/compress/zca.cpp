@@ -1,15 +1,34 @@
 #include "zca.hpp"
 
+#include <cstring>
+
 #include "common/log.hpp"
-#include "common/simd.hpp"
 
 namespace dice
 {
 
+namespace
+{
+
+/** True when every byte of @p line is zero. */
+bool
+allZero(const Line &line)
+{
+    std::uint64_t any = 0;
+    for (std::uint32_t off = 0; off < kLineSize; off += 8) {
+        std::uint64_t w;
+        std::memcpy(&w, line.data() + off, 8);
+        any |= w;
+    }
+    return any == 0;
+}
+
+} // namespace
+
 Encoded
 ZcaCodec::compress(const Line &line) const
 {
-    if (!simd::allZero(line.data(), kLineSize))
+    if (!allZero(line))
         return encodeRaw(line);
 
     Encoded enc;
@@ -21,7 +40,7 @@ ZcaCodec::compress(const Line &line) const
 std::uint32_t
 ZcaCodec::compressedSizeBytes(const Line &line) const
 {
-    return simd::allZero(line.data(), kLineSize) ? 0 : kLineSize;
+    return allZero(line) ? 0 : kLineSize;
 }
 
 Line

@@ -169,20 +169,15 @@ CompressedDramCache::pairSizeOf(LineAddr base, std::uint64_t even_payload,
             missed |= 1u << h;
     }
     if (missed == 3) {
-        // Both halves miss: derive them together and size them through
-        // the codec's batched route (one classification pass setup).
+        // Both halves miss: derive them together.
         source_.bytesPair(base, even_payload, odd_payload, lines);
         have = 3;
-        codec_.compressedSizeBytes(lines, 2, half_bytes);
-        size_cache_.put(half_keys[0], half_bytes[0]);
-        size_cache_.put(half_keys[1], half_bytes[1]);
-    } else {
-        for (std::uint32_t h = 0; h < 2; ++h) {
-            if (!(missed & (1u << h)))
-                continue;
-            half_bytes[h] = codec_.compressedSizeBytes(lineOf(h));
-            size_cache_.put(half_keys[h], half_bytes[h]);
-        }
+    }
+    for (std::uint32_t h = 0; h < 2; ++h) {
+        if (!(missed & (1u << h)))
+            continue;
+        half_bytes[h] = codec_.compressedSizeBytes(lineOf(h));
+        size_cache_.put(half_keys[h], half_bytes[h]);
     }
 
     const std::uint32_t even_bytes = half_bytes[0];

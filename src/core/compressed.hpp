@@ -191,9 +191,9 @@ class CompressedDramCache : public DramCache
      * mixed, hence PreHashed). Bounded and generation-versioned: a
      * collision recomputes instead of growing, so the memo's footprint
      * stays flat over arbitrarily long runs (it used to be an unbounded
-     * map that never evicted). Sizing note: with the batched/vectorized
-     * codec sizing, a recompute (synthesize + size) costs about as much
-     * as a DRAM-latency probe miss, so a huge memo no longer pays —
+     * map that never evicted). Sizing note: with the allocation-free
+     * size-only codecs, a recompute (synthesize + size) costs about as
+     * much as a DRAM-latency probe miss, so a huge memo no longer pays —
      * 2^14 buckets x 4 ways (1 MiB) keeps probes near-cache while
      * still absorbing the hot working set.
      */

@@ -148,8 +148,8 @@ TadSet::evictLru(LineAddr protect, WritebackList &writebacks)
     // split). Those share one key, and a pair excludes co-resident
     // singles of its key, so a single key scan finds the one skip.
     std::uint32_t skip = n;
-    std::uint64_t m = simd::matchMaskU64(keys(), n, keyOf(protect));
-    for (; m != 0; m &= m - 1) {
+    for (std::uint64_t m = keyMatches(keyOf(protect)); m != 0;
+         m &= m - 1) {
         const auto i = static_cast<std::uint32_t>(__builtin_ctzll(m));
         if ((flags()[i] & kPair) || holdsAt(i, protect)) {
             skip = i;
@@ -157,12 +157,19 @@ TadSet::evictLru(LineAddr protect, WritebackList &writebacks)
         }
     }
 
-    const std::size_t victim = simd::minIndexU64(lru(), n, skip);
+    // The first index of the minimum stamp: the LRU tie-break is part
+    // of the pinned model behavior.
+    const std::uint64_t *stamps = lru();
+    std::uint32_t victim = n;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        if (i != skip && (victim == n || stamps[i] < stamps[victim]))
+            victim = i;
+    }
     if (victim == n)
         return false;
 
     const std::uint8_t f = flags()[victim];
-    const LineAddr base = baseOf(static_cast<std::uint32_t>(victim));
+    const LineAddr base = baseOf(victim);
     std::uint32_t valid_lines = 0;
     for (std::uint32_t slot = 0; slot < 2; ++slot) {
         if (!(f & validBit(slot)))
@@ -175,7 +182,7 @@ TadSet::evictLru(LineAddr protect, WritebackList &writebacks)
     }
     bytes_used_ -= tag_bytes_ + dataBytes()[victim];
     line_count_ -= valid_lines;
-    eraseAt(static_cast<std::uint32_t>(victim));
+    eraseAt(victim);
     return true;
 }
 
@@ -254,11 +261,11 @@ TadSet::auditStorage() const
         (cap_ != kInlineItems && !block_))
         return false;
 
-    const std::uint32_t payload_bytes = simd::sumU16(dataBytes(), n_);
-    const std::uint32_t bytes = payload_bytes + tag_bytes_ * n_;
+    std::uint32_t bytes = tag_bytes_ * n_;
     std::uint32_t lines = 0;
     for (std::uint32_t i = 0; i < n_; ++i) {
         const std::uint8_t f = flags()[i];
+        bytes += dataBytes()[i];
         lines += popcount64(f & (kValid0 | kValid1));
         // Items must hold at least one valid line; singles keep theirs
         // in slot 0 and pairs keep an even base (kOdd clear).

@@ -21,9 +21,8 @@
  * hold one item, so the first item's planes live inline in the 64-B
  * set object, and a probe of such a set reads nothing else; a second
  * item spills the planes to a heap block sized to occupancy (see
- * grow()). The dense planes are what the simd::matchMaskU64 /
- * simd::minIndexU64 kernels scan (see common/simd.hpp); their scalar
- * fallbacks keep behavior bit-identical.
+ * grow()). The scans are plain inline loops: a probe of a one-item set
+ * is one key compare.
  */
 
 #ifndef DICE_CORE_TAD_HPP
@@ -35,7 +34,6 @@
 
 #include "cache/sram_cache.hpp" // EvictedLine
 #include "common/log.hpp"
-#include "common/simd.hpp"
 #include "common/types.hpp"
 
 namespace dice
@@ -159,7 +157,7 @@ class TadSet
         // when the line itself is resident).
         TadLookup res;
         const std::uint32_t n = n_;
-        std::uint64_t m = simd::matchMaskU64(keys(), n, keyOf(line));
+        std::uint64_t m = keyMatches(keyOf(line));
         std::uint32_t it = n;
         std::uint32_t nb = n;
         for (; m != 0; m &= m - 1) {
@@ -408,15 +406,27 @@ class TadSet
     std::uint32_t
     findIndex(LineAddr line) const
     {
-        const std::uint32_t n = n_;
-        std::uint64_t m = simd::matchMaskU64(keys(), n, keyOf(line));
+        std::uint64_t m = keyMatches(keyOf(line));
         for (; m != 0; m &= m - 1) {
             const auto i = static_cast<std::uint32_t>(
                 __builtin_ctzll(m));
             if (holdsAt(i, line))
                 return i;
         }
-        return n;
+        return n_;
+    }
+
+    /** Bit i set iff item i has scan key @p key (n_ <= 64). */
+    std::uint64_t
+    keyMatches(std::uint64_t key) const
+    {
+        const std::uint64_t *k = keys();
+        std::uint64_t mask = 0;
+        for (std::uint32_t i = 0; i < n_; ++i) {
+            if (k[i] == key)
+                mask |= std::uint64_t{1} << i;
+        }
+        return mask;
     }
 
     /** Base line address of item @p i (even line for pairs). */

@@ -1,6 +1,8 @@
 /**
  * @file
- * FPC codec: per-pattern encodings, exact sizes, and round trips.
+ * FPC codec: per-pattern encodings, exact sizes, round trips, and the
+ * size-only classifiers (compressedBits(), which runs an AVX2 twin on
+ * AVX2 CPUs, and the portable scalarBits()) against the encoder.
  */
 
 #include <gtest/gtest.h>
@@ -139,6 +141,76 @@ TEST(Fpc, ZeroRunLongerThanEightSplits)
     // 15 zeros = run(8) + run(7) = 12 bits, plus 35 for the tail word.
     EXPECT_EQ(enc.bits, 12u + 35u);
     EXPECT_EQ(fpc.decompress(enc), l);
+}
+
+/**
+ * A word of FPC pattern @p p: a signed value of the pattern's width, a
+ * high halfword, two sign-extended bytes, a repeated byte, or any word
+ * (ZeroRun draws 0). The signed draws span their whole range, so they
+ * also land in the narrower patterns and cross every priority edge.
+ */
+std::uint32_t
+wordOf(FpcCodec::Pattern p, Rng &rng)
+{
+    const auto sext = [&rng](std::uint32_t bits) {
+        const std::uint64_t half = std::uint64_t{1} << (bits - 1);
+        return static_cast<std::uint32_t>(rng.below(2 * half) - half);
+    };
+    switch (p) {
+      case FpcCodec::ZeroRun:
+        return 0;
+      case FpcCodec::Sign4:
+        return sext(4);
+      case FpcCodec::Sign8:
+        return sext(8);
+      case FpcCodec::Sign16:
+        return sext(16);
+      case FpcCodec::HalfZeroPad:
+        return static_cast<std::uint32_t>(rng.below(1u << 16)) << 16;
+      case FpcCodec::TwoSignedBytes: {
+        const std::uint32_t hi = sext(8) & 0xFFFF;
+        return (hi << 16) | (sext(8) & 0xFFFF);
+      }
+      case FpcCodec::RepeatedByte:
+        return static_cast<std::uint32_t>(rng.below(256)) * 0x01010101u;
+      default:
+        return static_cast<std::uint32_t>(rng.next());
+    }
+}
+
+TEST(Fpc, SizeClassifiersMatchTheEncoderOnEveryPattern)
+{
+    const FpcCodec fpc;
+    Rng rng(0xF9C);
+    const auto expectAgree = [&fpc](const std::uint32_t (&words)[16]) {
+        const Line l = lineOfWords(words);
+        const std::uint32_t bits = fpc.compress(l).bits;
+        EXPECT_EQ(fpc.compressedBits(l), bits);
+        EXPECT_EQ(FpcCodec::scalarBits(l), bits);
+    };
+    // Every word from any of the eight patterns (zero runs included).
+    std::uint32_t words[16];
+    for (int iter = 0; iter < 4000; ++iter) {
+        for (auto &w : words)
+            w = wordOf(static_cast<FpcCodec::Pattern>(rng.below(8)), rng);
+        expectAgree(words);
+    }
+    // A zero run of every length 1-16 at every start, among words of
+    // the seven other patterns.
+    for (std::uint32_t len = 1; len <= 16; ++len) {
+        for (std::uint32_t start = 0; start + len <= 16; ++start) {
+            for (int rep = 0; rep < 8; ++rep) {
+                for (auto &w : words) {
+                    w = wordOf(static_cast<FpcCodec::Pattern>(
+                                   1 + rng.below(7)),
+                               rng);
+                }
+                for (std::uint32_t i = start; i < start + len; ++i)
+                    words[i] = 0;
+                expectAgree(words);
+            }
+        }
+    }
 }
 
 /** Property sweep: random lines of several entropy classes round-trip. */

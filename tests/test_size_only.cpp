@@ -55,6 +55,21 @@ sampleLines()
         l[byte] = 0x80;
         lines.push_back(l);
     }
+    // All-zero but for one byte of any value, at every position.
+    for (std::size_t byte = 0; byte < kLineSize; ++byte) {
+        Line l{};
+        l[byte] = static_cast<std::uint8_t>(1 + rng.below(255));
+        lines.push_back(l);
+    }
+    // Small sign-extended words: FPC's narrow prefix classes.
+    for (int i = 0; i < 40; ++i) {
+        Line l;
+        for (std::size_t off = 0; off < kLineSize; off += 4) {
+            const auto v = static_cast<std::int32_t>(rng.below(512)) - 256;
+            std::memcpy(l.data() + off, &v, 4);
+        }
+        lines.push_back(l);
+    }
     return lines;
 }
 

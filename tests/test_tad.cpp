@@ -1,13 +1,17 @@
 /**
  * @file
  * TAD set-layout tests: capacity accounting, shared-tag pairs, LRU
- * eviction, the 72-B / 28-line invariants of Figure 5, and the storage
+ * eviction, the 72-B / 28-line invariants of Figure 5, the storage
  * stages a set passes through (inline first item, spilled and grown
- * heap blocks) under every geometry the organizations use.
+ * heap blocks) under every geometry the organizations use, and
+ * randomized operation sequences checked against the array-of-structs
+ * reference model (RefTadSet), with auditStorage() and the byte
+ * accounting re-verified after every eviction.
  */
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "core/tad.hpp"
 #include "ref_tad_set.hpp"
 
@@ -434,6 +438,178 @@ TEST(TadSet, DrainedSpilledSetRefills)
         fillToCapacity(s, model, geo, kSecond);
         EXPECT_EQ(s.itemCount(), geo.capacity);
         expectMatchesModel(s, model, kFirst);
+    }
+}
+
+/** Deterministic splitmix-style fuzz source. */
+class Fuzz
+{
+  public:
+    explicit Fuzz(std::uint64_t seed) : state_(seed) {}
+
+    std::uint64_t
+    next()
+    {
+        state_ += 0x9E3779B97F4A7C15ull;
+        return mix64(state_);
+    }
+
+    /** Uniform in [0, bound). */
+    std::uint64_t
+    below(std::uint64_t bound)
+    {
+        return next() % bound;
+    }
+
+    bool chance(std::uint32_t percent) { return below(100) < percent; }
+
+  private:
+    std::uint64_t state_;
+};
+
+/**
+ * Random operation soup over one (set, model) pair. A small address
+ * universe guarantees key collisions, pair/single interactions, and
+ * constant eviction pressure.
+ */
+void
+fuzzTadSetAgainstModel(std::uint32_t budget, std::uint32_t max_lines,
+                       std::uint32_t tag_bytes, std::uint64_t seed)
+{
+    TadSet set(budget, max_lines, tag_bytes);
+    RefTadSet model(budget, max_lines, tag_bytes);
+    Fuzz fz(seed);
+    std::uint64_t stamp = 0;
+    WritebackList wb_set, wb_model;
+
+    for (int op = 0; op < 3000; ++op) {
+        const LineAddr line = fz.below(24); // 12 keys
+        switch (fz.below(6)) {
+          case 0: { // single install, cache-style make-room first
+            const auto data =
+                static_cast<std::uint32_t>(fz.below(65));
+            set.remove(line, 0);
+            model.remove(line, 0);
+            bool ok = true;
+            while (!set.fits(data, 1)) {
+                wb_set.clear();
+                wb_model.clear();
+                const bool a = set.evictLru(line, wb_set);
+                const bool b = model.evictLru(line, wb_model);
+                ASSERT_EQ(a, b);
+                ASSERT_EQ(wb_set.size(), wb_model.size());
+                if (!a) {
+                    ok = false;
+                    break;
+                }
+            }
+            if (!ok)
+                break;
+            const std::uint64_t payload = fz.next();
+            const bool dirty = fz.chance(40);
+            const bool bai = fz.chance(30);
+            ++stamp;
+            set.insertSingle(line, data, dirty, payload, bai, stamp);
+            model.insertSingle(line, data, dirty, payload, bai, stamp);
+            break;
+          }
+          case 1: { // pair install over an even base
+            const LineAddr base = line & ~LineAddr{1};
+            const auto data =
+                static_cast<std::uint32_t>(fz.below(129));
+            set.remove(base, 0);
+            model.remove(base, 0);
+            set.remove(base | 1, 0);
+            model.remove(base | 1, 0);
+            bool ok = true;
+            while (!set.fits(data, 2)) {
+                wb_set.clear();
+                wb_model.clear();
+                const bool a = set.evictLru(base, wb_set);
+                const bool b = model.evictLru(base, wb_model);
+                ASSERT_EQ(a, b);
+                if (!a) {
+                    ok = false;
+                    break;
+                }
+            }
+            if (!ok)
+                break;
+            const std::uint64_t p0 = fz.next(), p1 = fz.next();
+            const bool d0 = fz.chance(40), d1 = fz.chance(40);
+            const bool bai = fz.chance(30);
+            ++stamp;
+            set.insertPair(base, data, d0, p0, d1, p1, bai, stamp);
+            model.insertPair(base, data, d0, p0, d1, p1, bai, stamp);
+            break;
+          }
+          case 2: { // removal (pairs shrink to the survivor's size)
+            const std::uint32_t cur = model.dataBytesOf(line);
+            const auto remaining = static_cast<std::uint32_t>(
+                cur != 0 ? fz.below(cur + 1) : 0);
+            expectSameEviction(set.remove(line, remaining),
+                               model.remove(line, remaining));
+            break;
+          }
+          case 3: { // LRU eviction under protection
+            wb_set.clear();
+            wb_model.clear();
+            const bool a = set.evictLru(line, wb_set);
+            const bool b = model.evictLru(line, wb_model);
+            ASSERT_EQ(a, b);
+            expectSameWritebacks(wb_set, wb_model);
+            // The regression this pins: eviction must leave the
+            // incremental byte/line accounting exactly consistent
+            // with the planes.
+            ASSERT_TRUE(set.auditStorage());
+            break;
+          }
+          case 4: { // LRU touch
+            ++stamp;
+            set.touch(line, stamp);
+            model.touch(line, stamp);
+            break;
+          }
+          default: { // dirty-mark with payload replacement
+            const std::uint64_t payload = fz.next();
+            EXPECT_EQ(set.markDirty(line, payload),
+                      model.markDirty(line, payload));
+            break;
+          }
+        }
+
+        expectSameLookup(set.lookup(line), model.lookup(line), line);
+        EXPECT_EQ(set.bytesUsed(), model.bytesUsed());
+        EXPECT_EQ(set.lineCount(), model.lineCount());
+        EXPECT_EQ(set.itemCount(), model.itemCount());
+        if (op % 64 == 0) {
+            ASSERT_TRUE(set.auditStorage());
+            for (LineAddr probe = 0; probe < 24; ++probe) {
+                expectSameLookup(set.lookup(probe),
+                                 model.lookup(probe), probe);
+            }
+        }
+    }
+    ASSERT_TRUE(set.auditStorage());
+}
+
+TEST(TadSetModel, RandomOpsMatchReferenceModel)
+{
+    for (const std::uint64_t base_seed : {0x51D4ull, 0x5CA1A4ull}) {
+        SCOPED_TRACE(testing::Message() << "base seed " << base_seed);
+        // DICE TAD geometry, Alloy tag pricing, a wide set with 8-B
+        // tags, Touché's 1-B signatures and SCC's 8-way set, so every
+        // capacity()/plane-offset case is exercised.
+        fuzzTadSetAgainstModel(kTadSetBytes, kTadMaxLines, kTadTagBytes,
+                               base_seed);
+        fuzzTadSetAgainstModel(kTadSetBytes, kTadMaxLines,
+                               kAlloyTagBytes, base_seed + 1);
+        fuzzTadSetAgainstModel(4 * kTadSetBytes, 32, kAlloyTagBytes,
+                               base_seed + 2);
+        fuzzTadSetAgainstModel(kTadSetBytes, kTadMaxLines,
+                               /*tag_bytes=*/1, base_seed + 3);
+        fuzzTadSetAgainstModel(8 * kTadSetBytes, 32, /*tag_bytes=*/2,
+                               base_seed + 4);
     }
 }
 
