@@ -263,18 +263,18 @@ namespace
 // The coordinator never sends cell data over a pipe: every
 // participant re-runs the same deterministic binary, deterministically
 // enumerates the same canonical cell vector, and publishes results
-// through the shared persistent caches (bench_cache/ for RunResults,
-// bench_cache/arena/ for reference streams). Which participant
-// simulates which cell is decided by the work-stealing claim queue
-// (bench/sweep_queue.hpp): everyone loops "claim next unowned cell →
-// simulate → publish per-cell doc → release", crashed holders' leases
-// expire and their cells are silently requeued, and extra --join
-// workers (other processes, or other hosts sharing the filesystem)
-// attach to the same queue mid-sweep. The coordinator then replays
-// the batch as pure cache loads in canonical order, which makes its
-// stdout, golden digests, and merged document byte-identical to a
-// serial run no matter who computed what or how many times a cell was
-// reclaimed.
+// through the shared persistent result cache (bench_cache/); each
+// participant generates the reference streams its own cells need.
+// Which participant simulates which cell is decided by the
+// work-stealing claim queue (bench/sweep_queue.hpp): everyone loops
+// "claim next unowned cell → simulate → publish per-cell doc →
+// release", crashed holders' leases expire and their cells are
+// silently requeued, and extra --join workers (other processes, or
+// other hosts sharing the filesystem) attach to the same queue
+// mid-sweep. The coordinator then replays the batch as pure cache
+// loads in canonical order, which makes its stdout, golden digests,
+// and merged document byte-identical to a serial run no matter who
+// computed what or how many times a cell was reclaimed.
 //
 // Every participant's only status file is its event journal
 // (src/common/sweep_events.hpp); the coordinator's sweep_summary.json
@@ -603,9 +603,9 @@ appendHistJson(std::string &out, const LogHistogram &h)
  * the scheduling record (who claimed, stole, and requeued what, and
  * how busy each participant was). Not part of the byte-identical
  * contract — it reports *how* the run executed, which legitimately
- * differs between serial and distributed runs; CI uses it to prove a
- * warm arena rerun generated zero streams and that a skewed sweep
- * actually stole work.
+ * differs between serial and distributed runs; CI uses it to bound
+ * how often each stream was generated and to prove that a skewed
+ * sweep actually stole work.
  *
  * Everything per-participant is one fold over the journals
  * (foldSweepJournals): this process's own journal is the
@@ -639,10 +639,6 @@ writeSweepSummary()
     out += std::to_string(all.requeued);
     out += ",\n \"coordinator\": {\"generations\": ";
     out += std::to_string(own.generations);
-    out += ", \"disk_hits\": ";
-    out += std::to_string(own.disk_hits);
-    out += ", \"spills\": ";
-    out += std::to_string(own.spills);
     out += ", \"cells\": ";
     out += std::to_string(own.cells);
     out += ", \"stolen\": ";
@@ -659,10 +655,6 @@ writeSweepSummary()
     out += std::to_string(workers.cells);
     out += ", \"generations\": ";
     out += std::to_string(workers.generations);
-    out += ", \"disk_hits\": ";
-    out += std::to_string(workers.disk_hits);
-    out += ", \"spills\": ";
-    out += std::to_string(workers.spills);
     out += ", \"stolen\": ";
     out += std::to_string(workers.stolen);
     out += ", \"requeued\": ";

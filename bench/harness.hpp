@@ -132,7 +132,7 @@ unsigned benchJobs();
  * After every batch the owning process (coordinator, or serial run)
  * folds all journals into <results>/sweep_summary.json — total
  * stolen/requeued, per-participant cells, busy/span seconds,
- * utilization, trace-arena counters, merged per-phase latency
+ * utilization, trace-arena generations, merged per-phase latency
  * percentiles (phase_latency_us), the slowest cell, anomaly warnings
  * (straggler threshold DICE_SWEEP_STRAGGLER_K x p90), and the
  * effective knob set ("knobs") — and merges them into a Chrome trace

@@ -21,13 +21,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <new>
 
 #include "common/sweep_events.hpp"
 #include "core/tad.hpp"
 #include "harness.hpp"
-#include "workloads/arena_store.hpp"
 #include "workloads/trace_arena.hpp"
 
 // Global heap-allocation counter (same scheme as micro_compress).
@@ -228,81 +226,6 @@ BM_TraceGen(benchmark::State &state)
 }
 BENCHMARK(BM_TraceGen);
 
-/** Temp spill directory shared by the two arena-store benchmarks. */
-std::filesystem::path
-bmArenaDir()
-{
-    return std::filesystem::temp_directory_path() /
-           "dice_bm_arena_store";
-}
-
-/**
- * Arena spill throughput (GB/s): serialize + checksum + temp write +
- * atomic rename of one packed trace set — what a generating worker
- * pays once per key on top of the generation itself. Compare against
- * BM_TraceGen to see the spill's share of a cold miss.
- */
-void
-BM_ArenaSpill(benchmark::State &state)
-{
-    const SystemConfig cfg = simBase(30'000);
-    const auto profiles = workloadProfiles(kWorkload, cfg.num_cores);
-    const auto set = dice::generateTraceSet(
-        profiles, cfg.num_cores, cfg.reference_capacity, cfg.seed,
-        streamRefs(cfg), 1);
-    const dice::ArenaStore store(bmArenaDir());
-    const dice::ArenaStoreKey key{kWorkload, cfg.seed, cfg.num_cores,
-                                  cfg.reference_capacity,
-                                  streamRefs(cfg)};
-    std::string blob;
-    dice::ArenaStore::serialize(*set, blob);
-    for (auto _ : state) {
-        const bool ok = store.save(key, *set);
-        benchmark::DoNotOptimize(ok);
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(blob.size()) * state.iterations());
-}
-BENCHMARK(BM_ArenaSpill);
-
-/**
- * Arena load throughput (GB/s): read + validate + rebuild the packed
- * planes from a warm spill file — what every later process pays
- * instead of regenerating. The refs/sec-equivalent is usually orders
- * of magnitude above BM_TraceGen; that gap is the whole point of the
- * persistent store.
- */
-void
-BM_ArenaLoad(benchmark::State &state)
-{
-    const SystemConfig cfg = simBase(30'000);
-    const auto profiles = workloadProfiles(kWorkload, cfg.num_cores);
-    const auto set = dice::generateTraceSet(
-        profiles, cfg.num_cores, cfg.reference_capacity, cfg.seed,
-        streamRefs(cfg), 1);
-    const dice::ArenaStore store(bmArenaDir());
-    const dice::ArenaStoreKey key{kWorkload, cfg.seed, cfg.num_cores,
-                                  cfg.reference_capacity,
-                                  streamRefs(cfg)};
-    if (!store.save(key, *set)) {
-        state.SkipWithError("cannot write spill file");
-        return;
-    }
-    std::string blob;
-    dice::ArenaStore::serialize(*set, blob);
-    for (auto _ : state) {
-        std::shared_ptr<const dice::TraceSet> loaded;
-        const bool ok = store.load(key, loaded);
-        benchmark::DoNotOptimize(ok);
-        benchmark::DoNotOptimize(&loaded);
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(blob.size()) * state.iterations());
-    std::error_code ec;
-    std::filesystem::remove_all(bmArenaDir(), ec);
-}
-BENCHMARK(BM_ArenaLoad);
-
 /**
  * The simulation loop replaying an arena stream instead of running
  * the generator inline. The refs/sec delta against BM_SimLoop of the
@@ -465,7 +388,7 @@ runCheck()
             journal.begin("simulate", cell);
             journal.phase("simulate", cell, 0, 42);
             journal.lease("refresh", cell, 3);
-            journal.arena("disk_hit", cell, 4096);
+            journal.arena("generate", cell, 4096);
             journal.publish(cell);
             journal.batch(1, 40, 4, 900);
             dice::JournalSpan span("simulate", cell);

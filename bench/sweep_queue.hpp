@@ -12,9 +12,8 @@
  * cell, simulate it, publish its per-cell document, release the
  * lease" until every cell of the batch is published.
  *
- * Coordination is exactly the claim/lease protocol the arena store
- * proved out (src/common/claim_file.hpp), promoted from the trace
- * layer to the cell layer:
+ * Coordination is the O_EXCL claim/lease protocol of
+ * src/common/claim_file.hpp, applied per cell:
  *
  *  - A cell is *claimed* by creating `leases/<stem>.lease` with
  *    O_EXCL. A background thread refreshes every held lease's mtime,

@@ -127,10 +127,7 @@ main(int argc, char **argv)
     }
 
     const TraceArena::Stats a = TraceArena::instance().stats();
-    std::fprintf(stderr,
-                 "arena: generations=%llu disk_hits=%llu spills=%llu\n",
-                 static_cast<unsigned long long>(a.generations),
-                 static_cast<unsigned long long>(a.disk_hits),
-                 static_cast<unsigned long long>(a.spills));
+    std::fprintf(stderr, "arena: generations=%llu\n",
+                 static_cast<unsigned long long>(a.generations));
     return 0;
 }

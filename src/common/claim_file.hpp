@@ -2,12 +2,12 @@
  * @file
  * Shared-filesystem claim/lease files.
  *
- * Several subsystems coordinate exactly-once work across processes —
- * possibly on different hosts sharing one filesystem — through small
- * marker files created with O_EXCL: the arena store's per-stream
- * generation claims (`src/workloads/arena_store.cpp`) and the sweep
- * scheduler's per-cell leases (`bench/sweep_queue.cpp`). This module
- * is the one implementation of that protocol.
+ * The sweep scheduler's per-cell leases (`bench/sweep_queue.cpp`)
+ * coordinate exactly-once work across processes — possibly on
+ * different hosts sharing one filesystem — through small marker files
+ * created with O_EXCL. This module is that protocol, plus the
+ * atomic small-file publish behind the result cache, the sweep
+ * documents and the timeline.
  *
  * A claim file's body is `pid <pid> host <host>\n`. Liveness is
  * decided in two tiers:
@@ -93,7 +93,7 @@ bool atomicWriteFile(const std::filesystem::path &path,
                      const std::string &content);
 
 /** Stable (cross-process, cross-build) FNV-1a checksum: the one the
- *  result cache and the arena store stamp their files with. */
+ *  result cache stamps its files with. */
 inline std::uint64_t
 fnv1a(std::string_view bytes)
 {

@@ -25,11 +25,9 @@ knobTable()
         {"DICE_BENCH_JOBS", "ncpu", KnobRule::Count,
          "worker threads per process"},
         {"DICE_BENCH_CACHE_DIR", "bench_cache", KnobRule::Text,
-         "directory of the result cache and the arena store"},
+         "directory of the result cache and the default results"},
         {"DICE_BENCH_NO_CACHE", "0", KnobRule::Flag,
-         "turn the result cache and the arena store off"},
-        {"DICE_ARENA_DIR", "", KnobRule::Text,
-         "arena store directory (default <cache dir>/arena)"},
+         "turn the result cache off"},
         {"DICE_BENCH_ORGS", "", KnobRule::Text,
          "comma-separated L4 organizations fig10/fig13 append"},
         {"DICE_STATS_JSON", "", KnobRule::Text,
@@ -227,16 +225,6 @@ benchCacheDir()
 {
     return knobFlag(Knob::BenchNoCache) ? ""
                                         : knobText(Knob::BenchCacheDir);
-}
-
-std::string
-arenaStoreDir()
-{
-    const std::string cache = benchCacheDir();
-    const std::string dir = knobText(Knob::ArenaDir);
-    if (cache.empty())
-        return "";
-    return dir.empty() ? cache + "/arena" : dir;
 }
 
 std::vector<std::string>

@@ -39,13 +39,12 @@ struct KnobSpec
 /** Every knob, in table order. */
 enum class Knob : std::uint8_t
 {
-    BenchRefs, BenchJobs, BenchCacheDir, BenchNoCache, ArenaDir,
-    BenchOrgs, StatsJson, StatsInterval, Progress, DecisionTrace,
-    LogLevel, SweepResults, SweepMerged, SweepLeaseStaleS,
-    SweepStragglerK,
+    BenchRefs, BenchJobs, BenchCacheDir, BenchNoCache, BenchOrgs,
+    StatsJson, StatsInterval, Progress, DecisionTrace, LogLevel,
+    SweepResults, SweepMerged, SweepLeaseStaleS, SweepStragglerK,
 };
 
-inline constexpr std::size_t kKnobCount = 15;
+inline constexpr std::size_t kKnobCount = 14;
 
 /** The knob table, indexed by Knob. */
 const std::array<KnobSpec, kKnobCount> &knobTable();
@@ -69,10 +68,6 @@ std::string knobValue(Knob k);
 /** The persistent result cache directory, or "" when
  *  DICE_BENCH_NO_CACHE turns persistence off. */
 std::string benchCacheDir();
-
-/** The arena store directory: DICE_ARENA_DIR, else
- *  benchCacheDir()/arena; "" when persistence is off. */
-std::string arenaStoreDir();
 
 /** Split a comma-separated list, dropping empty items. */
 std::vector<std::string> splitList(const std::string &csv);

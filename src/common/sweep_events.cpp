@@ -622,8 +622,6 @@ ParticipantFold::merge(const ParticipantFold &other)
     span_us += other.span_us;
     span_jobs_us += other.span_jobs_us;
     generations += other.generations;
-    disk_hits += other.disk_hits;
-    spills += other.spills;
     for (unsigned i = 0; i < kSweepPhases; ++i)
         phases[i].merge(other.phases[i]);
     if (other.slowest_us > slowest_us) {
@@ -672,8 +670,6 @@ foldJournal(const ParticipantJournal &journal)
             hist(SweepPhase::LeaseRefresh).sample(e.dur_us);
         } else if (e.ev == "arena") {
             f.generations += e.op == "generate" ? 1 : 0;
-            f.disk_hits += e.op == "disk_hit" ? 1 : 0;
-            f.spills += e.op == "spill" ? 1 : 0;
         } else if (e.ev == "batch") {
             ++f.batches;
             f.batch_cells += e.cells;

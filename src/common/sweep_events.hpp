@@ -27,17 +27,16 @@
  *   {"ev":"publish","cell":..,...}
  *   {"ev":"lease","op":"refresh"|"break"|"release","cell":..,
  *    "dur_us":..,...}
- *   {"ev":"arena","op":"disk_hit"|"generate"|"spill"|"evict",
- *    "key":..,"bytes":..,...}              trace-arena stream traffic
+ *   {"ev":"arena","op":"generate"|"evict","key":..,"bytes":..,...}
+ *                                          trace-arena stream traffic
  *   {"ev":"batch","batch":..,"cells":..,"jobs":..,"span_us":..,...}
  *                                          end of one runCells batch
  *                                          this participant worked on
  *
  * Spans are the phases of a fresh cell (cell, generate, simulate,
- * export), System::run's warmup and measure, and a trace-arena miss's
- * arena_load and arena_spill. Every record carries "tid", the
- * writing thread's small lane index (the thread that opens the
- * journal is lane 0), so the merged timeline draws each thread's
+ * export) and System::run's warmup and measure. Every record carries
+ * "tid", the writing thread's small lane index (the thread that opens
+ * the journal is lane 0), so the merged timeline draws each thread's
  * spans on a lane of their own, where they nest.
  *
  * The journal is the participant's only status file. foldJournal()
@@ -90,7 +89,7 @@ namespace dice
 enum class SweepPhase : unsigned
 {
     ClaimWait,    ///< Claim loop: queue poll until a cell was claimed.
-    Generate,     ///< Trace acquisition (arena hit, disk load, or gen).
+    Generate,     ///< Trace acquisition (arena hit or generation).
     Simulate,     ///< System::run of a fresh cell.
     Export,       ///< Per-cell stats export (zero when disabled).
     Cell,         ///< Whole fresh cell (generate + simulate + export).
@@ -360,9 +359,7 @@ struct ParticipantFold
     std::uint64_t span_us = 0;      ///< Sum of their spans.
     std::uint64_t span_jobs_us = 0; ///< Sum of span x jobs.
     unsigned jobs = 0;              ///< Latest batch record's jobs.
-    std::uint64_t generations = 0;  ///< Arena records, by op.
-    std::uint64_t disk_hits = 0;
-    std::uint64_t spills = 0;
+    std::uint64_t generations = 0;  ///< Arena `generate` records.
     std::array<LogHistogram, kSweepPhases> phases;
     std::string slowest_cell; ///< Longest whole-cell phase record.
     std::uint64_t slowest_us = 0;

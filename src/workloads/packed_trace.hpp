@@ -23,8 +23,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -125,144 +123,7 @@ class PackedTrace
 
     std::size_t distinctPcs() const { return pc_table_.size(); }
 
-    /**
-     * Append this stream's planes to @p out in the arena-store wire
-     * format: four u64 counts, then the raw plane bytes with every
-     * 8-byte-element section leading and the 2-byte planes trailing,
-     * padded so each stream record starts 8-byte aligned. Planes are
-     * written in host byte order — the on-disk cache is shared across
-     * processes (and same-architecture machines on a shared
-     * filesystem), not across architectures.
-     */
-    void
-    serializeTo(std::string &out) const
-    {
-        appendU64(out, line_.size());
-        appendU64(out, pc_table_.size());
-        appendU64(out, gap_overflow_.size());
-        appendU64(out, pc_overflow_.size());
-        appendRaw(out, line_.data(), line_.size() * sizeof(LineAddr));
-        appendRaw(out, write_bits_.data(),
-                  write_bits_.size() * sizeof(std::uint64_t));
-        appendRaw(out, pc_table_.data(),
-                  pc_table_.size() * sizeof(std::uint64_t));
-        // Overflow entries are written field-by-field (u64 index, u64
-        // value): std::pair layout/padding is not a wire format.
-        for (const auto &[idx, v] : gap_overflow_) {
-            appendU64(out, idx);
-            appendU64(out, v);
-        }
-        for (const auto &[idx, v] : pc_overflow_) {
-            appendU64(out, idx);
-            appendU64(out, v);
-        }
-        appendRaw(out, gap_.data(), gap_.size() * sizeof(std::uint16_t));
-        appendRaw(out, pc_idx_.data(),
-                  pc_idx_.size() * sizeof(std::uint16_t));
-        while (out.size() % 8 != 0)
-            out.push_back('\0');
-    }
-
-    /**
-     * Rebuild a stream from serializeTo() bytes at @p offset within
-     * [@p data, @p data + @p size), advancing @p offset past the
-     * record. Returns false (leaving this trace unspecified) on any
-     * truncated or malformed record; never reads out of bounds. The
-     * result is sealed — append() must not be called on it.
-     */
-    bool
-    deserializeFrom(const char *data, std::size_t size,
-                    std::size_t &offset)
-    {
-        std::uint64_t n = 0, n_pc = 0, n_gap_ov = 0, n_pc_ov = 0;
-        if (!readU64(data, size, offset, n) ||
-            !readU64(data, size, offset, n_pc) ||
-            !readU64(data, size, offset, n_gap_ov) ||
-            !readU64(data, size, offset, n_pc_ov))
-            return false;
-        // A record can never be larger than the bytes that remain.
-        if (n > size || n_pc > size || n_gap_ov > size ||
-            n_pc_ov > size)
-            return false;
-        const std::size_t words = (n + 63) / 64;
-        if (!readVec(data, size, offset, line_, n) ||
-            !readVec(data, size, offset, write_bits_, words) ||
-            !readVec(data, size, offset, pc_table_, n_pc))
-            return false;
-        gap_overflow_.clear();
-        gap_overflow_.reserve(n_gap_ov);
-        for (std::uint64_t i = 0; i < n_gap_ov; ++i) {
-            std::uint64_t idx = 0, v = 0;
-            if (!readU64(data, size, offset, idx) ||
-                !readU64(data, size, offset, v) ||
-                v > 0xFFFFFFFFull)
-                return false;
-            gap_overflow_.emplace_back(idx,
-                                       static_cast<std::uint32_t>(v));
-        }
-        pc_overflow_.clear();
-        pc_overflow_.reserve(n_pc_ov);
-        for (std::uint64_t i = 0; i < n_pc_ov; ++i) {
-            std::uint64_t idx = 0, v = 0;
-            if (!readU64(data, size, offset, idx) ||
-                !readU64(data, size, offset, v))
-                return false;
-            pc_overflow_.emplace_back(idx, v);
-        }
-        if (!readVec(data, size, offset, gap_, n) ||
-            !readVec(data, size, offset, pc_idx_, n))
-            return false;
-        while (offset % 8 != 0) {
-            if (offset >= size)
-                return false;
-            ++offset;
-        }
-        pc_lookup_ = FlatMap<std::uint64_t, std::uint32_t>{};
-        return true;
-    }
-
   private:
-    static void
-    appendU64(std::string &out, std::uint64_t v)
-    {
-        char buf[sizeof v];
-        std::memcpy(buf, &v, sizeof v);
-        out.append(buf, sizeof v);
-    }
-
-    static void
-    appendRaw(std::string &out, const void *p, std::size_t bytes)
-    {
-        if (bytes != 0)
-            out.append(static_cast<const char *>(p), bytes);
-    }
-
-    static bool
-    readU64(const char *data, std::size_t size, std::size_t &offset,
-            std::uint64_t &v)
-    {
-        if (offset > size || size - offset < sizeof v)
-            return false;
-        std::memcpy(&v, data + offset, sizeof v);
-        offset += sizeof v;
-        return true;
-    }
-
-    template <typename T>
-    static bool
-    readVec(const char *data, std::size_t size, std::size_t &offset,
-            std::vector<T> &out, std::uint64_t count)
-    {
-        if (offset > size || count > (size - offset) / sizeof(T))
-            return false;
-        out.resize(count);
-        if (count != 0)
-            std::memcpy(out.data(), data + offset, count * sizeof(T));
-        out.shrink_to_fit();
-        offset += count * sizeof(T);
-        return true;
-    }
-
     /** Intern @p pc; returns its table index or kOverflow (spilled). */
     std::uint16_t
     pcIndexFor(std::size_t i, std::uint64_t pc)

@@ -17,21 +17,15 @@
  * shared_ptr ownership, so eviction only drops the cache entry, never
  * a stream in use).
  *
- * Persistence: misses fall back disk-before-generate through an
- * ArenaStore under `bench_cache/arena/` — a stream any process on
- * this machine (or this shared filesystem) ever generated is loaded
- * back instead of regenerated, and freshly generated streams are
- * spilled for everyone else. O_EXCL claim files make generation
- * exactly-once across concurrent worker processes. The directory
- * comes from arenaStoreDir() (common/knobs.hpp): DICE_ARENA_DIR, else
- * <cache dir>/arena, and off together with the result cache under
- * DICE_BENCH_NO_CACHE.
+ * Persistence: none. A stream is a pure function of its key (the
+ * generator is seeded per core from it), so every process generates
+ * the streams its cells need and regenerating one costs about what
+ * reading it back from disk would. Across processes only simulation
+ * results are shared, through the bench result cache.
  *
- * Observability: with a sweep journal open, a miss journals an
- * arena_load span around the store lookup and an arena_spill span
- * around the spill, then an `arena` record of its outcome (disk_hit
- * or generate, and spill); each budget eviction journals an `evict`
- * record with the stream's key and bytes once the arena lock is
+ * Observability: with a sweep journal open, each generation journals
+ * an `arena` record (`generate`, with the stream's key and bytes), and
+ * each budget eviction an `evict` record once the arena lock is
  * released.
  */
 
@@ -42,7 +36,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -54,8 +47,6 @@
 
 namespace dice
 {
-
-class ArenaStore;
 
 /** All per-core streams of one (workload, seed, ...) key. */
 struct TraceSet
@@ -103,8 +94,6 @@ class TraceArena
     /** Starts with a 512 MiB resident byte budget. */
     TraceArena();
 
-    ~TraceArena();
-
     /**
      * Return the streams for the key, generating them (once, even
      * under concurrent requests) on first use. @p profiles must be
@@ -122,8 +111,6 @@ class TraceArena
         std::uint64_t generations = 0; ///< Streams built from scratch.
         std::uint64_t hits = 0;        ///< Served resident or in-flight.
         std::uint64_t evictions = 0;   ///< Entries dropped by the LRU.
-        std::uint64_t disk_hits = 0;   ///< Loaded from the ArenaStore.
-        std::uint64_t spills = 0;      ///< Generated sets spilled to disk.
         std::uint64_t resident_bytes = 0;
         std::uint64_t entries = 0;
     };
@@ -144,13 +131,6 @@ class TraceArena
     /** Drop every resident entry and zero the counters (tests). */
     void clear();
 
-    /**
-     * Override the persistent store location (tests): a path pins the
-     * spill directory, an empty string disables the store, and
-     * std::nullopt restores arenaStoreDir().
-     */
-    void setStoreDirForTest(std::optional<std::string> dir);
-
   private:
     using Key = std::tuple<std::string, std::uint64_t, std::uint32_t,
                            std::uint64_t, std::uint64_t>;
@@ -169,9 +149,6 @@ class TraceArena
      *  Returns the evictions to journal (none with no journal open). */
     std::vector<Eviction> evictOverBudgetLocked();
 
-    /** The persistent store to use right now (null = disabled). */
-    std::unique_ptr<ArenaStore> storeForUse() const;
-
     mutable std::mutex mu_;
     std::map<Key, Entry> entries_;
     std::uint64_t budget_bytes_;
@@ -180,10 +157,6 @@ class TraceArena
     std::uint64_t generations_ = 0;
     std::uint64_t hits_ = 0;
     std::uint64_t evictions_ = 0;
-    std::uint64_t disk_hits_ = 0;
-    std::uint64_t spills_ = 0;
-    /** Test override: nullopt = env default, "" = store disabled. */
-    std::optional<std::string> store_dir_override_;
 };
 
 } // namespace dice

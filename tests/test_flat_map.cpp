@@ -220,8 +220,9 @@ TEST(BoundedMemo, DeterministicReplacement)
         const std::uint32_t *va = a.find(k * 17);
         const std::uint32_t *vb = b.find(k * 17);
         ASSERT_EQ(va == nullptr, vb == nullptr) << k;
-        if (va)
+        if (va) {
             EXPECT_EQ(*va, *vb) << k;
+        }
     }
 }
 

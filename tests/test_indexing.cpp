@@ -65,8 +65,9 @@ TEST(Indexing, BaiAndTsiDifferOnlyInSetBitZero)
         const std::uint64_t t = idx.tsi(l);
         const std::uint64_t b = idx.bai(l);
         EXPECT_TRUE(t == b || (t ^ b) == 1) << "line " << l;
-        if (t != b)
+        if (t != b) {
             EXPECT_EQ(SetIndexer::alternateSet(t), b);
+        }
     }
 }
 

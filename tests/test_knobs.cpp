@@ -39,10 +39,10 @@ linesMentioning(const std::string &text, const std::string &needle)
     return n;
 }
 
-TEST(Knobs, TableHasFifteenDistinctRowsWhoseDefaultsParse)
+TEST(Knobs, TableHasFourteenDistinctRowsWhoseDefaultsParse)
 {
     const auto &table = knobTable();
-    ASSERT_EQ(table.size(), 15u);
+    ASSERT_EQ(table.size(), 14u);
     std::set<std::string> names;
     for (const KnobSpec &s : table) {
         EXPECT_EQ(std::string(s.name).rfind("DICE_", 0), 0u) << s.name;
@@ -93,28 +93,22 @@ TEST(Knobs, AccessorsRereadTheEnvironment)
 TEST(Knobs, FlagIsOffWhenUnsetEmptyOrZero)
 {
     setenv("DICE_BENCH_CACHE_DIR", "/tmp/dice_knob_cache", 1);
-    unsetenv("DICE_ARENA_DIR");
     for (const char *off : {"", "0"}) {
         setenv("DICE_BENCH_NO_CACHE", off, 1);
         EXPECT_FALSE(knobFlag(Knob::BenchNoCache)) << '"' << off << '"';
         EXPECT_EQ(benchCacheDir(), "/tmp/dice_knob_cache");
-        EXPECT_EQ(arenaStoreDir(), "/tmp/dice_knob_cache/arena");
     }
     unsetenv("DICE_BENCH_NO_CACHE");
     EXPECT_FALSE(knobFlag(Knob::BenchNoCache));
 
-    // Any other value is on, and turns both persistent stores off.
+    // Any other value is on, and turns the result cache off.
     for (const char *on : {"1", "yes"}) {
         setenv("DICE_BENCH_NO_CACHE", on, 1);
         EXPECT_TRUE(knobFlag(Knob::BenchNoCache)) << on;
         EXPECT_EQ(benchCacheDir(), "");
-        EXPECT_EQ(arenaStoreDir(), "");
     }
     unsetenv("DICE_BENCH_NO_CACHE");
 
-    setenv("DICE_ARENA_DIR", "/tmp/dice_knob_arena", 1);
-    EXPECT_EQ(arenaStoreDir(), "/tmp/dice_knob_arena");
-    unsetenv("DICE_ARENA_DIR");
     unsetenv("DICE_BENCH_CACHE_DIR");
     EXPECT_EQ(benchCacheDir(), "bench_cache");
 }

@@ -763,7 +763,6 @@ writeFoldJournals()
     writeFile(events / "worker0.jsonl",
               epoch("worker0", 2) + claim("a", 0, 0, 10, 3) +
                   event("arena", "op", "generate") +
-                  event("arena", "op", "spill") +
                   phase("generate", "a", 2000) +
                   phase("simulate", "a", 30000) +
                   phase("export", "a", 0) + phase("cell", "a", 40000) +
@@ -772,7 +771,6 @@ writeFoldJournals()
                       "\"cell\":\"a\",\"dur_us\":7") +
                   batch(0, 2, 1, 50000) + epoch("worker0", 5) +
                   claim("c", 1, 0, 0, 4) +
-                  event("arena", "op", "disk_hit") +
                   rec("\"ev\":\"begin\",\"phase\":\"cell\","
                       "\"cell\":\"c\"") +
                   phase("cell", "c", 20000) +
@@ -845,8 +843,6 @@ TEST(SweepFold, RebuildsEveryParticipantRecord)
     EXPECT_EQ(w0.jobs, 1u);
     EXPECT_DOUBLE_EQ(w0.utilization(), 40000.0 / 50000.0);
     EXPECT_EQ(w0.generations, 1u);
-    EXPECT_EQ(w0.spills, 1u);
-    EXPECT_EQ(w0.disk_hits, 1u);
     EXPECT_EQ(w0.in_flight_cell, "d");
     EXPECT_EQ(w0.in_flight_phase, "simulate");
 

@@ -4,7 +4,7 @@
  * replay/live equivalence, keying, LRU byte-budget eviction, and the
  * sweep-level guarantee that a cold-cache multi-organization sweep
  * generates each (workload, seed) stream exactly once, and that
- * DICE_BENCH_NO_CACHE=0 leaves persistence on.
+ * DICE_BENCH_NO_CACHE=0 leaves the result cache on.
  */
 
 #include <gtest/gtest.h>
@@ -129,9 +129,6 @@ TEST(TraceArena, KeyedAcquireGeneratesOncePerKey)
     TraceArena &arena = TraceArena::instance();
     arena.clear();
     arena.setByteBudget(512_MiB);
-    // Counter assertions below need real generations: a warm spill
-    // directory would turn them into disk hits.
-    arena.setStoreDirForTest("");
     const auto profiles = rateProfiles("mcf", 2);
 
     const auto a = arena.acquire("mcf", 7, 2, 8_MiB, 1'000, profiles, 2);
@@ -156,7 +153,6 @@ TEST(TraceArena, LruEvictionUnderByteBudget)
     TraceArena &arena = TraceArena::instance();
     arena.clear();
     arena.setByteBudget(512_MiB);
-    arena.setStoreDirForTest(""); // assertions count real generations
     const auto profiles = rateProfiles("milc", 2);
     const auto get = [&](std::uint64_t seed) {
         return arena.acquire("milc", seed, 2, 8_MiB, 2'000, profiles, 2);
@@ -200,7 +196,6 @@ TEST(TraceArena, EvictionEmitsInstantTraceEvent)
     TraceArena &arena = TraceArena::instance();
     arena.clear();
     arena.setByteBudget(512_MiB);
-    arena.setStoreDirForTest(""); // keep spills out of the test cwd
     const auto profiles = rateProfiles("milc", 2);
     const auto get = [&](std::uint64_t seed) {
         return arena.acquire("milc", seed, 2, 8_MiB, 2'000, profiles, 2);
@@ -262,10 +257,6 @@ TEST(TraceArena, ColdSweepGeneratesEachStreamOnce)
     TraceArena &arena = TraceArena::instance();
     arena.clear();
     arena.setByteBudget(512_MiB);
-    // Exercise the env gating: DICE_BENCH_NO_CACHE must disable the
-    // persistent spill store too, or the counters below would see
-    // disk hits on a warm machine.
-    arena.setStoreDirForTest(std::nullopt);
 
     const std::vector<std::string> workloads = {bench::rateNames()[0],
                                                 bench::rateNames()[1]};
@@ -298,9 +289,9 @@ countFiles(const std::filesystem::path &dir, const std::string &ext)
 
 /**
  * DICE_BENCH_NO_CACHE follows the one flag rule: "0" is off, so a
- * sweep still writes its result file and spills its stream.
+ * sweep still writes its result file.
  */
-TEST(TraceArena, NoCacheZeroKeepsTheCacheAndTheStore)
+TEST(TraceArena, NoCacheZeroKeepsTheResultCache)
 {
     const std::filesystem::path cache =
         std::filesystem::temp_directory_path() /
@@ -308,22 +299,14 @@ TEST(TraceArena, NoCacheZeroKeepsTheCacheAndTheStore)
     std::filesystem::remove_all(cache);
     setenv("DICE_BENCH_NO_CACHE", "0", 1);
     setenv("DICE_BENCH_CACHE_DIR", cache.c_str(), 1);
-    unsetenv("DICE_ARENA_DIR");
     setenv("DICE_BENCH_REFS", "1000", 1);
     setenv("DICE_BENCH_JOBS", "2", 1);
-
-    TraceArena &arena = TraceArena::instance();
-    arena.clear();
-    arena.setByteBudget(512_MiB);
-    arena.setStoreDirForTest(std::nullopt);
 
     const SystemConfig base =
         bench::configureBaseline(bench::defaultBase());
     bench::runSweep({bench::rateNames()[2]}, {{base, "nocache0:base"}});
 
     EXPECT_EQ(countFiles(cache, ".result"), 1u);
-    EXPECT_EQ(countFiles(cache / "arena", ".trace"), 1u);
-    EXPECT_EQ(arena.stats().spills, 1u);
     std::filesystem::remove_all(cache);
     unsetenv("DICE_BENCH_NO_CACHE");
     unsetenv("DICE_BENCH_CACHE_DIR");
