@@ -28,15 +28,10 @@
 #include "common/sweep_events.hpp"
 #include "common/telemetry.hpp"
 
-#ifdef _WIN32
-#include <process.h>
-#else
-#include <fcntl.h>
 #include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 extern char **environ;
-#endif
 
 namespace dice::bench
 {
@@ -185,11 +180,7 @@ printProgress(std::size_t done, std::size_t total, double elapsed_s)
         static_cast<double>(g_simulated_refs.load(std::memory_order_relaxed));
     const double mrefs_per_s =
         elapsed_s > 0.0 ? refs / elapsed_s / 1e6 : 0.0;
-#ifdef _WIN32
-    const bool tty = false;
-#else
     const bool tty = isatty(fileno(stderr)) != 0;
-#endif
     static std::mutex mu;
     std::lock_guard lock(mu);
     std::fprintf(stderr,
@@ -257,24 +248,24 @@ namespace
 {
 
 // ---------------------------------------------------------------------
-// Distributed sweep engine (--serve M / --worker i/M / --batch B /
-// --join DIR).
+// Distributed sweep engine (--serve M / --worker i / --join DIR).
 //
 // The coordinator never sends cell data over a pipe: every
 // participant re-runs the same deterministic binary, deterministically
 // enumerates the same canonical cell vector, and publishes results
 // through the shared persistent result cache (bench_cache/); each
 // participant generates the reference streams its own cells need.
-// Which participant simulates which cell is decided by the
-// work-stealing claim queue (bench/sweep_queue.hpp): everyone loops
-// "claim next unowned cell → simulate → publish per-cell doc →
-// release", crashed holders' leases expire and their cells are
-// silently requeued, and extra --join workers (other processes, or
-// other hosts sharing the filesystem) attach to the same queue
-// mid-sweep. The coordinator then replays the batch as pure cache
-// loads in canonical order, which makes its stdout, golden digests,
-// and merged document byte-identical to a serial run no matter who
-// computed what or how many times a cell was reclaimed.
+// Which participant simulates which cell is decided by the claim
+// queue (bench/sweep_queue.hpp): everyone loops "claim next unowned
+// cell → simulate → publish per-cell doc → release", and crashed
+// holders' leases expire and their cells are silently requeued. A
+// participant — a worker the coordinator spawned, or a --join
+// attacher from another process or another host sharing the
+// filesystem — drains its first batch and exits. The coordinator
+// then replays the batch as pure cache loads in canonical order,
+// which makes its stdout, golden digests, and merged document
+// byte-identical to a serial run no matter who computed what or how
+// many times a cell was reclaimed.
 //
 // Every participant's only status file is its event journal
 // (src/common/sweep_events.hpp); the coordinator's sweep_summary.json
@@ -286,19 +277,16 @@ struct SweepMode
     enum class Role
     {
         Serial,      ///< No flags: in-process thread pool only.
-        Coordinator, ///< --serve M: shards batches across workers.
-        Worker,      ///< --worker i/M: claims cells of one batch.
-        Join         ///< --join DIR: attaches to an in-flight sweep.
+        Coordinator, ///< --serve M: spawns M participants, merges.
+        Participant  ///< --worker i or --join DIR: drains one batch.
     };
 
     Role role = Role::Serial;
-    unsigned workers = 0;           ///< M.
-    unsigned worker_index = 0;      ///< i in [0, M); worker role only.
-    unsigned long target_batch = 0; ///< The batch a worker owns.
-    std::string self;               ///< argv[0], for re-spawning.
-    std::string join_results;       ///< --join results directory.
+    unsigned workers = 0;    ///< M; coordinator only.
+    std::string participant; ///< "worker<i>" or "join<pid>".
+    std::string self;        ///< argv[0], for spawning.
     /** Original arguments minus the sweep flags (workers get these
-     *  back so binary-specific flags survive the respawn). */
+     *  back so binary-specific flags survive the spawn). */
     std::vector<std::string> passthrough;
 };
 
@@ -460,14 +448,32 @@ writesSweepResults()
            knobSet(Knob::SweepResults);
 }
 
+/** Remove every file directly under @p dir whose name ends in
+ *  @p suffix. */
+void
+removeFilesEndingIn(const std::filesystem::path &dir,
+                    const std::string &suffix)
+{
+    std::error_code ec;
+    std::vector<std::filesystem::path> stale;
+    for (std::filesystem::directory_iterator it(dir, ec), end;
+         !ec && it != end; it.increment(ec)) {
+        if (it->path().filename().string().ends_with(suffix))
+            stale.push_back(it->path());
+    }
+    for (const std::filesystem::path &p : stale)
+        std::filesystem::remove(p, ec);
+}
+
 /**
  * Open this process's event journal (once) when it writes into a
  * results directory. The participant name matches the role:
  * "coordinator", "worker<i>", "join<pid>", or "serial". The
  * coordinator (or a serial run) owns the results directory, so it
- * clears journals left by a previous run of the same directory first
- * — workers and --join attachers append (a respawned worker's later
- * batches become new segments of the same journal).
+ * first clears what a previous run of the same directory left: its
+ * journals, and its cell documents and leases, which must not
+ * masquerade as this run's work. A participant only adds its own
+ * journal.
  */
 void
 maybeOpenSweepJournal()
@@ -478,40 +484,18 @@ maybeOpenSweepJournal()
     attempted = true;
     const SweepMode &m = sweepMode();
     std::string name = "serial";
-    bool owner = true;
-    switch (m.role) {
-      case SweepMode::Role::Coordinator:
+    if (m.role == SweepMode::Role::Coordinator)
         name = "coordinator";
-        break;
-      case SweepMode::Role::Worker:
-        name = "worker" + std::to_string(m.worker_index);
-        owner = false;
-        break;
-      case SweepMode::Role::Join:
-        name = "join" + std::to_string(claimPid());
-        owner = false;
-        break;
-      case SweepMode::Role::Serial:
-        break;
-    }
+    else if (m.role == SweepMode::Role::Participant)
+        name = m.participant;
     const std::filesystem::path events = resultsDir() / "events";
-    if (owner) {
-        std::error_code ec;
-        std::filesystem::directory_iterator it(events, ec);
-        if (!ec) {
-            std::vector<std::filesystem::path> stale;
-            for (const auto &entry : it) {
-                if (entry.path().extension() == ".jsonl")
-                    stale.push_back(entry.path());
-            }
-            for (const std::filesystem::path &p : stale)
-                std::filesystem::remove(p, ec);
-        }
+    if (m.role != SweepMode::Role::Participant) {
+        removeFilesEndingIn(events, ".jsonl");
+        removeFilesEndingIn(resultsDir(), ".cell.json");
+        removeFilesEndingIn(resultsDir() / "leases", ".lease");
     }
     SweepJournal::instance().open(events, name);
 }
-
-#ifndef _WIN32
 
 /** The coordinator's single aggregated progress line (stderr). */
 void
@@ -529,17 +513,14 @@ printSweepProgress(unsigned long batch, std::size_t done,
 }
 
 pid_t
-spawnWorker(unsigned index, unsigned long batch)
+spawnWorker(unsigned index)
 {
     const SweepMode &m = sweepMode();
     std::vector<std::string> args;
     args.push_back(m.self);
     args.insert(args.end(), m.passthrough.begin(), m.passthrough.end());
     args.push_back("--worker");
-    args.push_back(std::to_string(index) + "/" +
-                   std::to_string(m.workers));
-    args.push_back("--batch");
-    args.push_back(std::to_string(batch));
+    args.push_back(std::to_string(index));
 
     std::vector<char *> argv;
     argv.reserve(args.size() + 1);
@@ -554,17 +535,9 @@ spawnWorker(unsigned index, unsigned long batch)
     SweepJournal::instance().mark("spawn",
                                   "worker" + std::to_string(index));
 
-    // Workers would duplicate the coordinator's stdout tables; their
-    // real output is the shared caches and the results directory.
-    posix_spawn_file_actions_t fa;
-    posix_spawn_file_actions_init(&fa);
-    posix_spawn_file_actions_addopen(&fa, STDOUT_FILENO, "/dev/null",
-                                     O_WRONLY, 0);
     pid_t pid = -1;
-    const int rc =
-        posix_spawnp(&pid, m.self.c_str(), &fa, nullptr, argv.data(),
-                     environ);
-    posix_spawn_file_actions_destroy(&fa);
+    const int rc = posix_spawnp(&pid, m.self.c_str(), nullptr, nullptr,
+                                argv.data(), environ);
     if (rc != 0) {
         // No special case: the unspawned worker's cells simply stay in
         // the claim queue for the remaining participants.
@@ -574,8 +547,6 @@ spawnWorker(unsigned index, unsigned long batch)
     }
     return pid;
 }
-
-#endif // !_WIN32
 
 /** One histogram as a JSON object of its summary statistics. */
 void
@@ -600,12 +571,12 @@ appendHistJson(std::string &out, const LogHistogram &h)
 
 /**
  * The machine-readable sweep summary: trace-generation accounting plus
- * the scheduling record (who claimed, stole, and requeued what, and
- * how busy each participant was). Not part of the byte-identical
- * contract — it reports *how* the run executed, which legitimately
- * differs between serial and distributed runs; CI uses it to bound
- * how often each stream was generated and to prove that a skewed
- * sweep actually stole work.
+ * the scheduling record (who published and requeued what, and how
+ * busy each participant was). Not part of the byte-identical contract
+ * — it reports *how* the run executed, which legitimately differs
+ * between serial and distributed runs; sweep_contract uses it to
+ * bound how often each stream was generated and to prove that the
+ * workers did the work.
  *
  * Everything per-participant is one fold over the journals
  * (foldSweepJournals): this process's own journal is the
@@ -633,16 +604,12 @@ writeSweepSummary()
         std::lock_guard lock(reg.mu);
         out += std::to_string(reg.order.size());
     }
-    out += ",\n \"scheduler\": \"queue\",\n \"stolen\": ";
-    out += std::to_string(all.stolen);
-    out += ",\n \"requeued\": ";
+    out += ",\n \"scheduler\": \"queue\",\n \"requeued\": ";
     out += std::to_string(all.requeued);
     out += ",\n \"coordinator\": {\"generations\": ";
     out += std::to_string(own.generations);
     out += ", \"cells\": ";
     out += std::to_string(own.cells);
-    out += ", \"stolen\": ";
-    out += std::to_string(own.stolen);
     out += ", \"requeued\": ";
     out += std::to_string(own.requeued);
     out += ", \"busy_s\": ";
@@ -655,8 +622,6 @@ writeSweepSummary()
     out += std::to_string(workers.cells);
     out += ", \"generations\": ";
     out += std::to_string(workers.generations);
-    out += ", \"stolen\": ";
-    out += std::to_string(workers.stolen);
     out += ", \"requeued\": ";
     out += std::to_string(workers.requeued);
     out += ", \"busy_s\": ";
@@ -674,8 +639,6 @@ writeSweepSummary()
         appendJsonEscaped(out, p.name);
         out += "\", \"cells\": ";
         out += std::to_string(p.cells);
-        out += ", \"stolen\": ";
-        out += std::to_string(p.stolen);
         out += ", \"requeued\": ";
         out += std::to_string(p.requeued);
         out += ", \"busy_s\": ";
@@ -810,8 +773,6 @@ runCellsSerial(const std::vector<const SimCell *> &work,
     });
 }
 
-#ifndef _WIN32
-
 /**
  * One participant's claim loop against @p q, run as @p jobs parallel
  * loops: claim the most expensive unowned cell, simulate it, publish
@@ -849,76 +810,49 @@ drainSweepQueue(SweepQueue &q, const std::vector<const SimCell *> &work,
 }
 
 /**
- * Run one batch as a claim-queue participant whose nominal static
- * shard is @p home_shard of @p shard_count (0 ⇒ no shard; every claim
- * counts as stolen), then journal the batch record that closes it.
+ * Participant role: drain this process's first batch from the shared
+ * claim queue, journal the batch record that closes it, and exit
+ * before the bench main can print anything or reach a later batch.
  */
-void
-runCellsQueueParticipant(const std::vector<const SimCell *> &work,
-                         unsigned long batch, unsigned home_shard,
-                         unsigned shard_count)
+[[noreturn]] void
+runCellsParticipant(const std::vector<const SimCell *> &work,
+                    unsigned long batch)
 {
-    std::error_code ec;
-    std::filesystem::create_directories(resultsDir(), ec);
-    SweepQueue q(resultsDir(), queueCellsFor(work), home_shard,
-                 shard_count);
-    const unsigned jobs = benchJobs();
-    const auto t0 = std::chrono::steady_clock::now();
-    drainSweepQueue(q, work, jobs);
-    SweepJournal::instance().batch(batch, work.size(), jobs,
-                                   elapsedUs(t0));
-}
-
-/**
- * Worker role: batches before the target were already merged into the
- * persistent cache by the coordinator, so they replay as loads; the
- * target batch drains the shared claim queue, then the worker exits
- * before the bench main can print anything or touch later batches.
- */
-void
-runCellsWorker(const std::vector<const SimCell *> &work,
-               unsigned long batch)
-{
-    const SweepMode &m = sweepMode();
-    if (batch != m.target_batch) {
-        runCellsSerial(work, /*progress_allowed=*/false);
-        return;
+    {
+        SweepQueue q(resultsDir(), queueCellsFor(work));
+        const unsigned jobs = benchJobs();
+        const auto t0 = std::chrono::steady_clock::now();
+        drainSweepQueue(q, work, jobs);
+        SweepJournal::instance().batch(batch, work.size(), jobs,
+                                       elapsedUs(t0));
     }
-
-    runCellsQueueParticipant(work, batch, m.worker_index, m.workers);
     std::exit(0);
 }
 
 /**
- * Coordinator role: reset the batch's cells (documents left by a
- * previous run must not masquerade as done), spawn M workers, and
- * monitor the queue. While workers live the coordinator only reaps
- * and reports progress — a worker that dies abnormally just abandons
- * its leases, which expire and requeue to the survivors. Only when
+ * Coordinator role: spawn M workers for the first batch and monitor
+ * the queue. While workers live the coordinator only reaps and
+ * reports progress — a worker that dies abnormally just abandons its
+ * leases, which expire and requeue to the survivors. Only when
  * *every* worker is gone does the coordinator drain the remainder
- * itself (also the degenerate path when spawning fails entirely).
- * Then it merges by replaying the batch as cache loads in canonical
- * order, which keeps stdout and the merged document byte-identical to
- * a serial run.
+ * itself: the path of a failed spawn, and of every later batch, since
+ * a participant exits after its first. Then it merges by replaying
+ * the batch as cache loads in canonical order, which keeps stdout and
+ * the merged document byte-identical to a serial run.
  */
 void
 runCellsCoordinator(const std::vector<const SimCell *> &work,
                     unsigned long batch)
 {
     const SweepMode &m = sweepMode();
-    std::error_code ec;
-    std::filesystem::create_directories(resultsDir() / "leases", ec);
-    for (const SimCell *c : work)
-        SweepQueue::resetCell(resultsDir(), cellStem(*c));
-
     std::vector<pid_t> pids;
-    for (unsigned i = 0; i < m.workers; ++i) {
-        const pid_t pid = spawnWorker(i, batch);
+    for (unsigned i = 0; batch == 0 && i < m.workers; ++i) {
+        const pid_t pid = spawnWorker(i);
         if (pid > 0)
             pids.push_back(pid);
     }
 
-    SweepQueue q(resultsDir(), queueCellsFor(work), 0, 0);
+    SweepQueue q(resultsDir(), queueCellsFor(work));
     const bool progress = knobFlag(Knob::Progress);
     std::vector<bool> reaped(pids.size(), false);
     std::size_t alive = pids.size();
@@ -965,8 +899,6 @@ runCellsCoordinator(const std::vector<const SimCell *> &work,
     for (const SimCell *c : work)
         runWorkload(c->workload, c->config, c->cache_key);
 }
-
-#endif // !_WIN32
 
 } // namespace
 
@@ -1165,6 +1097,7 @@ initSweepMode(int argc, char **argv)
     m = SweepMode{};
     if (argc > 0 && argv[0] != nullptr)
         m.self = argv[0];
+    std::string join_results;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i] != nullptr ? argv[i] : "";
         if (arg == "--serve" && i + 1 < argc) {
@@ -1172,21 +1105,18 @@ initSweepMode(int argc, char **argv)
             m.workers = static_cast<unsigned>(
                 std::strtoul(argv[++i], nullptr, 10));
         } else if (arg == "--worker" && i + 1 < argc) {
-            m.role = SweepMode::Role::Worker;
+            m.role = SweepMode::Role::Participant;
             char *end = nullptr;
-            m.worker_index = static_cast<unsigned>(
-                std::strtoul(argv[++i], &end, 10));
-            m.workers =
-                end != nullptr && *end == '/'
-                    ? static_cast<unsigned>(
-                          std::strtoul(end + 1, nullptr, 10))
-                    : 0;
-        } else if (arg == "--batch" && i + 1 < argc) {
-            m.target_batch = std::strtoul(argv[++i], nullptr, 10);
+            const unsigned long index = std::strtoul(argv[++i], &end, 10);
+            m.participant = end != argv[i] && *end == '\0'
+                                ? "worker" + std::to_string(index)
+                                : "";
         } else if (arg == "--join" && i + 1 < argc) {
-            m.role = SweepMode::Role::Join;
-            m.join_results = argv[i + 1] != nullptr ? argv[i + 1] : "";
-            ++i;
+            m.role = SweepMode::Role::Participant;
+            join_results = argv[++i];
+            m.participant = join_results.empty()
+                                ? ""
+                                : "join" + std::to_string(claimPid());
         } else {
             m.passthrough.push_back(arg);
         }
@@ -1196,55 +1126,38 @@ initSweepMode(int argc, char **argv)
         // One worker re-running the whole batch is pure overhead.
         m.role = SweepMode::Role::Serial;
     }
-    if (m.role == SweepMode::Role::Worker &&
-        (m.workers == 0 || m.worker_index >= m.workers)) {
-        dice_warn("sweep: bad --worker i/M spec; running serially");
+    if (m.role == SweepMode::Role::Participant && m.participant.empty()) {
+        dice_warn("sweep: --worker needs an index and --join a results "
+                  "directory; running serially");
         m.role = SweepMode::Role::Serial;
     }
-    if (m.role == SweepMode::Role::Join && m.join_results.empty()) {
-        dice_warn("sweep: --join needs a results directory; "
-                  "running serially");
-        m.role = SweepMode::Role::Serial;
-    }
-#ifdef _WIN32
-    if (m.role != SweepMode::Role::Serial) {
-        dice_warn("sweep: --serve/--worker/--join are POSIX-only; "
-                  "running serially");
-        m.role = SweepMode::Role::Serial;
-    }
-#else
-    if (m.role == SweepMode::Role::Coordinator && benchCacheDir().empty()) {
-        dice_warn("sweep: --serve shares work through the persistent "
-                  "cache; unset DICE_BENCH_NO_CACHE. Running serially");
-        m.role = SweepMode::Role::Serial;
-    }
-    if (m.role == SweepMode::Role::Join) {
+    if (m.role == SweepMode::Role::Participant && !join_results.empty()) {
         // The attached sweep's claim queue lives in its results
         // directory; point this process's sweep plumbing there.
-        setenv("DICE_SWEEP_RESULTS", m.join_results.c_str(), 1);
+        setenv("DICE_SWEEP_RESULTS", join_results.c_str(), 1);
         // Participants exchange results through the persistent bench
         // cache; an attaching worker must share the sweep's cache. By
         // default the results dir is <cache>/results, so infer the
         // cache from the parent unless the caller said otherwise.
         if (!knobSet(Knob::BenchCacheDir)) {
             const std::filesystem::path parent =
-                std::filesystem::path(m.join_results).parent_path();
+                std::filesystem::path(join_results).parent_path();
             if (!parent.empty())
                 setenv("DICE_BENCH_CACHE_DIR",
                        parent.string().c_str(), 1);
         }
-        if (benchCacheDir().empty()) {
-            dice_warn("sweep: --join shares work through the "
-                      "persistent cache; unset DICE_BENCH_NO_CACHE. "
-                      "Running serially");
-            m.role = SweepMode::Role::Serial;
-        } else if (std::freopen("/dev/null", "w", stdout) == nullptr) {
-            // The owning coordinator prints the tables; a join worker
-            // duplicating them would corrupt redirected sweep output.
-            dice_warn("sweep: cannot silence --join stdout");
-        }
     }
-#endif
+    if (m.role != SweepMode::Role::Serial && benchCacheDir().empty()) {
+        dice_warn("sweep: --serve, --worker and --join share work "
+                  "through the persistent cache; unset "
+                  "DICE_BENCH_NO_CACHE. Running serially");
+        m.role = SweepMode::Role::Serial;
+    }
+    // The coordinator prints the tables; a participant duplicating
+    // them would corrupt redirected sweep output.
+    if (m.role == SweepMode::Role::Participant &&
+        std::freopen("/dev/null", "w", stdout) == nullptr)
+        dice_warn("sweep: cannot silence participant stdout");
 }
 
 void
@@ -1265,26 +1178,16 @@ runCells(const std::vector<SimCell> &cells)
     maybeOpenSweepJournal();
 
     const auto t0 = std::chrono::steady_clock::now();
-#ifndef _WIN32
-    const SweepMode &m = sweepMode();
-    if (m.role == SweepMode::Role::Worker) {
-        runCellsWorker(work, batch); // exits after its target batch
-        return;
-    }
-    if (m.role == SweepMode::Role::Join) {
-        // A join worker is a pure extra pair of hands: it feeds the
-        // shared caches, per-cell documents, and its journal; the
-        // owning coordinator writes the merged document and summary.
-        runCellsQueueParticipant(work, batch, 0, 0);
-        return;
-    }
-    if (m.role == SweepMode::Role::Coordinator)
+    const SweepMode::Role role = sweepMode().role;
+    // A participant is a pure extra pair of hands: it feeds the shared
+    // caches, per-cell documents, and its journal; the owning
+    // coordinator writes the merged document and summary.
+    if (role == SweepMode::Role::Participant)
+        runCellsParticipant(work, batch);
+    if (role == SweepMode::Role::Coordinator)
         runCellsCoordinator(work, batch);
     else
         runCellsSerial(work, /*progress_allowed=*/true);
-#else
-    runCellsSerial(work, /*progress_allowed=*/true);
-#endif
     SweepJournal::instance().batch(batch, work.size(), benchJobs(),
                                    elapsedUs(t0));
     writeSweepOutputs();

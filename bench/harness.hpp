@@ -103,40 +103,44 @@ unsigned benchJobs();
  * bench main calls this first; with no recognized flags it is a no-op
  * and the binary runs serially (in-process thread pool only).
  *
- *  --serve M     Coordinator: each runCells batch is executed by M
- *                re-spawned copies of this binary (posix_spawn), which
- *                pull cells from a shared work-stealing claim queue
+ *  --serve M     Coordinator: spawns M copies of this binary
+ *                (posix_spawn) as workers for its first runCells
+ *                batch. They pull cells from a shared claim queue
  *                (bench/sweep_queue.hpp: O_EXCL lease files, cost-
  *                ordered longest-first, requeue-on-crash) and stream
  *                per-cell results into <cache>/results/ and the shared
  *                persistent caches. The coordinator merges in
  *                canonical cell order, so its stdout and merged
  *                documents are byte-identical to a serial run even
- *                when workers crash or extra workers join.
- *  --worker i/M  Worker i of M (spawned by --serve; not for hand use).
- *  --batch B     The runCells batch index a worker owns.
+ *                when workers crash or extra workers join. It drains
+ *                any later batch itself.
+ *  --worker i    Worker i (spawned by --serve; not for hand use).
  *  --join DIR    Attach to an in-flight sweep whose results directory
  *                is DIR (possibly from another machine sharing the
- *                filesystem): steal pending cells from its claim
- *                queue, publish them, and exit. Own stdout is
- *                suppressed — the coordinator renders the figure.
+ *                filesystem).
+ *
+ * A worker and a --join attacher are the same role, a participant:
+ * it claims cells of its first batch until the batch is complete,
+ * publishes them, and exits. Its stdout is suppressed — the
+ * coordinator renders the figure.
  *
  * Related knobs: DICE_SWEEP_RESULTS overrides the results directory
- * (and makes a serial run write one too), DICE_SWEEP_MERGED names a
- * canonical merged JSON document written (serially or distributed)
- * after every batch, and DICE_SWEEP_LEASE_STALE_S is the lease
- * staleness threshold for requeueing a dead holder's cells.
+ * (and makes a serial run write one too), and DICE_SWEEP_MERGED names
+ * a canonical merged JSON document written (serially or distributed)
+ * after every batch.
  *
  * Every process that writes a results directory journals its events
  * to <results>/events/<participant>.jsonl — its only status file.
- * After every batch the owning process (coordinator, or serial run)
- * folds all journals into <results>/sweep_summary.json — total
- * stolen/requeued, per-participant cells, busy/span seconds,
- * utilization, trace-arena generations, merged per-phase latency
- * percentiles (phase_latency_us), the slowest cell, anomaly warnings
- * (straggler threshold DICE_SWEEP_STRAGGLER_K x p90), and the
- * effective knob set ("knobs") — and merges them into a Chrome trace
- * at <results>/timeline.json; see README "Sweep observability".
+ * The owning process (coordinator, or serial run) clears a previous
+ * run's journals, cell documents and leases when it opens its own
+ * journal. After every batch it folds all journals into
+ * <results>/sweep_summary.json — total requeued, per-participant
+ * cells, busy/span seconds, utilization, trace-arena generations,
+ * merged per-phase latency percentiles (phase_latency_us), the
+ * slowest cell, anomaly warnings (straggler threshold
+ * DICE_SWEEP_STRAGGLER_K x p90), and the effective knob set ("knobs")
+ * — and merges them into a Chrome trace at <results>/timeline.json;
+ * see README "Sweep observability".
  */
 void initSweepMode(int argc, char **argv);
 

@@ -34,10 +34,8 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include "sweep_queue.hpp"
 
@@ -70,8 +68,6 @@ sleepMs(unsigned ms)
 {
     std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
-
-#ifndef _WIN32
 
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
@@ -121,15 +117,14 @@ runQueue(const std::filesystem::path &dir, std::size_t cells,
     std::error_code ec;
     std::filesystem::remove_all(dir, ec);
     std::filesystem::create_directories(dir, ec);
-    return makespan(workers, [&dir, cells, workers,
-                              scale_ms](unsigned w) {
+    return makespan(workers, [&dir, cells, scale_ms](unsigned) {
         std::vector<QueueCell> qcells;
         qcells.reserve(cells);
         for (std::size_t i = 0; i < cells; ++i)
             qcells.push_back(QueueCell{
                 "cell" + std::to_string(i), i,
                 static_cast<double>(cellMs(i, scale_ms))});
-        SweepQueue q(dir, std::move(qcells), w, workers);
+        SweepQueue q(dir, std::move(qcells));
         for (;;) {
             const std::optional<std::size_t> idx = q.claimNext();
             if (!idx) {
@@ -144,19 +139,11 @@ runQueue(const std::filesystem::path &dir, std::size_t cells,
     });
 }
 
-#endif // !_WIN32
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-#ifdef _WIN32
-    (void)argc;
-    (void)argv;
-    std::fprintf(stderr, "micro_sched is POSIX-only\n");
-    return 0;
-#else
     std::size_t cells = 64;
     unsigned workers = 4;
     unsigned scale_ms = 15;
@@ -219,5 +206,4 @@ main(int argc, char **argv)
         return 1;
     }
     return 0;
-#endif
 }

@@ -384,7 +384,7 @@ runCheck()
         const std::size_t start =
             g_heap_allocs.load(std::memory_order_relaxed);
         for (int i = 0; i < 10'000; ++i) {
-            journal.claim(cell, false, false, 7, 2);
+            journal.claim(cell, false, 7, 2);
             journal.begin("simulate", cell);
             journal.phase("simulate", cell, 0, 42);
             journal.lease("refresh", cell, 3);

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/claim_file.hpp"
-#include "common/knobs.hpp"
 #include "common/log.hpp"
 
 namespace dice::bench
@@ -13,6 +12,14 @@ namespace dice::bench
 
 namespace
 {
+
+/** Age after which a lease is broken and its cell requeued. A
+ *  same-host holder's death is seen sooner, by its pid; this bounds
+ *  how long a crashed holder on another host keeps its cell. */
+constexpr std::uint64_t kLeaseStaleSeconds = 30;
+
+/** How often a holder refreshes its leases, well inside that age. */
+constexpr auto kLeaseRefreshInterval = std::chrono::seconds(5);
 
 double
 monotonicSeconds()
@@ -38,21 +45,10 @@ SweepQueue::leasePath(const std::filesystem::path &results_dir,
     return results_dir / "leases" / (stem + ".lease");
 }
 
-void
-SweepQueue::resetCell(const std::filesystem::path &results_dir,
-                      const std::string &stem)
-{
-    std::error_code ec;
-    std::filesystem::remove(docPath(results_dir, stem), ec);
-    std::filesystem::remove(leasePath(results_dir, stem), ec);
-}
-
 SweepQueue::SweepQueue(std::filesystem::path results_dir,
-                       std::vector<QueueCell> cells, unsigned home_shard,
-                       unsigned shard_count)
+                       std::vector<QueueCell> cells)
     : results_dir_(std::move(results_dir)),
       lease_dir_(results_dir_ / "leases"), cells_(std::move(cells)),
-      home_shard_(home_shard), shard_count_(shard_count),
       state_(cells_.size(), State::Pending)
 {
     std::error_code ec;
@@ -113,7 +109,6 @@ std::optional<std::size_t>
 SweepQueue::claimNext(std::uint64_t wait_us)
 {
     std::lock_guard lock(mu_);
-    const std::uint64_t stale_s = knobCount(Knob::SweepLeaseStaleS);
     for (const std::size_t idx : cost_order_) {
         if (state_[idx] != State::Pending)
             continue;
@@ -129,8 +124,8 @@ SweepQueue::claimNext(std::uint64_t wait_us)
         ClaimAttempt attempt = createClaimFile(lease);
         bool via_requeue = false;
         if (attempt == ClaimAttempt::Busy) {
-            if (claimFileLive(lease, stale_s))
-                continue; // live holder: steal something else
+            if (claimFileLive(lease, kLeaseStaleSeconds))
+                continue; // live holder: take something else
             // The lease is gone or stale — but publish() writes the
             // document *before* releasing the lease, so a holder that
             // just finished is distinguishable from one that crashed:
@@ -173,17 +168,12 @@ SweepQueue::claimNext(std::uint64_t wait_us)
         ++stats_.claimed;
         if (via_requeue)
             ++stats_.requeued;
-        const bool stolen =
-            shard_count_ == 0 ||
-            c.canonical_index % shard_count_ != home_shard_;
-        if (stolen)
-            ++stats_.stolen;
         const std::uint64_t acquire_us = elapsedUs(acquire_t0);
         SweepMetrics::instance().sample(SweepPhase::LeaseAcquire,
                                         acquire_us);
         SweepMetrics::instance().sample(SweepPhase::ClaimWait, wait_us);
-        SweepJournal::instance().claim(c.stem, stolen, via_requeue,
-                                       wait_us, acquire_us);
+        SweepJournal::instance().claim(c.stem, via_requeue, wait_us,
+                                       acquire_us);
         return idx;
     }
     return std::nullopt;
@@ -244,11 +234,7 @@ SweepQueue::refresherLoop()
     // long-simulating holder is never mistaken for a dead one.
     std::unique_lock lock(mu_);
     for (;;) {
-        const auto interval = std::chrono::milliseconds(
-            std::min<std::uint64_t>(
-                5'000, knobCount(Knob::SweepLeaseStaleS) * 1'000 / 3) +
-            1);
-        if (refresher_cv_.wait_for(lock, interval,
+        if (refresher_cv_.wait_for(lock, kLeaseRefreshInterval,
                                    [this] { return stop_; }))
             return;
         for (std::size_t i = 0; i < cells_.size(); ++i) {

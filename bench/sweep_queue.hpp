@@ -1,16 +1,15 @@
 /**
  * @file
- * Work-stealing cell claim queue for distributed sweeps.
+ * Cell claim queue for distributed sweeps.
  *
- * The PR-7 engine sharded a batch statically (worker i owns canonical
- * indices ≡ i mod M), so sweep wall-clock was bounded by the
- * unluckiest shard and a crashed worker degraded to coordinator-local
- * serial simulation. This module replaces that with a shared-
- * filesystem claim queue: every participant — spawned workers, the
- * coordinator, and `--join` workers attached from other processes or
- * other hosts sharing the filesystem — loops "claim the next unowned
- * cell, simulate it, publish its per-cell document, release the
- * lease" until every cell of the batch is published.
+ * A shared-filesystem claim queue: every participant — spawned
+ * workers, `--join` attachers from other processes or other hosts
+ * sharing the filesystem, and the coordinator once its workers are
+ * gone — loops "claim the next unowned cell, simulate it, publish its
+ * per-cell document, release the lease" until every cell of the batch
+ * is published. Whoever is free takes the next cell, so the makespan
+ * is not bounded by an unlucky fixed share of the batch, and a
+ * crashed worker's cells go to whoever is left.
  *
  * Coordination is the O_EXCL claim/lease protocol of
  * src/common/claim_file.hpp, applied per cell:
@@ -26,11 +25,11 @@
  *    render identical bytes (the simulation is deterministic) and the
  *    atomic rename makes the second publish harmless.
  *  - A lease whose holder died (same-host pid probe) or went stale
- *    (mtime beyond DICE_SWEEP_LEASE_STALE_S, default 30 s) is
- *    silently broken and the cell is *requeued* — any peer reclaims
- *    it. This is the whole retry/requeue policy: a crashed or wedged
- *    worker's cells return to the queue instead of falling back to
- *    serial absorption.
+ *    (mtime older than 30 s; holders refresh every 5 s) is silently
+ *    broken and the cell is *requeued* — any peer reclaims it. This
+ *    is the whole retry/requeue policy: a crashed or wedged worker's
+ *    cells return to the queue instead of falling back to serial
+ *    absorption.
  *
  * Cells are handed out longest-expected-first (cost estimated from
  * trace length × cores × an organization weight), which shrinks the
@@ -89,10 +88,6 @@ struct QueueStats
 {
     std::uint64_t claimed = 0;   ///< Cells this participant claimed.
     std::uint64_t published = 0; ///< Cells it published documents for.
-    /** Claims of cells outside this participant's nominal static
-     *  shard (every claim, for participants with no shard — the
-     *  coordinator and --join workers). */
-    std::uint64_t stolen = 0;
     /** Claims acquired by breaking an expired/dead-holder lease. */
     std::uint64_t requeued = 0;
 };
@@ -108,14 +103,9 @@ class SweepQueue
     /**
      * Attach to the queue for a batch whose canonical cells are
      * @p cells, under @p results_dir (shared by every participant).
-     * @p home_shard / @p shard_count name this participant's nominal
-     * static shard for steal accounting; shard_count == 0 means "no
-     * home shard" (coordinator, --join workers) and every claim
-     * counts as stolen.
      */
     SweepQueue(std::filesystem::path results_dir,
-               std::vector<QueueCell> cells, unsigned home_shard,
-               unsigned shard_count);
+               std::vector<QueueCell> cells);
 
     /** Stops the lease refresher and releases any still-held leases
      *  (abandoned cells return to the queue for peers). */
@@ -164,15 +154,6 @@ class SweepQueue
     leasePath(const std::filesystem::path &results_dir,
               const std::string &stem);
 
-    /**
-     * Remove @p stem's document and lease, returning the cell to a
-     * virgin state. The coordinator calls this for every cell at
-     * batch start so documents from a previous run of the same
-     * results directory never masquerade as this batch's work.
-     */
-    static void resetCell(const std::filesystem::path &results_dir,
-                          const std::string &stem);
-
   private:
     enum class State : std::uint8_t
     {
@@ -187,8 +168,6 @@ class SweepQueue
     const std::filesystem::path results_dir_;
     const std::filesystem::path lease_dir_;
     const std::vector<QueueCell> cells_;
-    const unsigned home_shard_;
-    const unsigned shard_count_;
 
     mutable std::mutex mu_;
     std::vector<State> state_;

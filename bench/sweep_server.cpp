@@ -4,23 +4,23 @@
  *
  * Unlike the figure/table binaries, which hard-code one paper plot,
  * this driver takes the sweep shape from the command line, so CI and
- * cluster jobs can run an arbitrary slice serially or sharded and
+ * cluster jobs can run an arbitrary slice serially or distributed and
  * byte-diff the outputs:
  *
  *   sweep_server --sweep fig10 --workloads mcf,lbm --refs 2000
  *   sweep_server --serve 3 --sweep fig10 ...    # 3-worker distributed
  *   sweep_server --join DIR --sweep fig10 ...   # attach extra hands
  *
- * --serve M spawns M workers that drain a shared work-stealing claim
- * queue (see bench/sweep_queue.hpp); --join RESULTS_DIR attaches this
- * process — from this host or any other sharing the filesystem — to
- * an in-flight sweep's queue as an extra worker (pass the same
+ * --serve M spawns M workers that drain a shared claim queue (see
+ * bench/sweep_queue.hpp); --join RESULTS_DIR attaches this process —
+ * from this host or any other sharing the filesystem — to an
+ * in-flight sweep's queue as an extra worker (pass the same
  * --sweep/--workloads/--refs so it enumerates the same cells). Every
  * participant journals its events under <results>/events/, and the
  * coordinator folds them into <results>/sweep_summary.json and
  * <results>/timeline.json (see bench/harness.hpp).
  *
- * Flags (besides the --serve/--worker/--batch/--join sweep flags):
+ * Flags (besides the --serve/--worker/--join sweep flags):
  *   --sweep NAME      Organization set: "fig10" (base/tsi/bai/dice/
  *                     2x2x, the default), "quick" (base/dice), or
  *                     "zoo" (every registry organization: base/tsi/
@@ -33,7 +33,7 @@
  *
  * stdout is one "workload org digest" line per cell, in a fixed
  * order independent of execution mode — identical bytes for a serial
- * and a sharded run of the same sweep. The arena accounting line goes
+ * and a distributed run of the same sweep. The arena accounting line goes
  * to stderr (it legitimately differs between modes).
  */
 
@@ -62,11 +62,7 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             workloads_csv = argv[++i];
         } else if (std::strcmp(argv[i], "--refs") == 0 && i + 1 < argc) {
-#ifndef _WIN32
             setenv("DICE_BENCH_REFS", argv[++i], 1);
-#else
-            ++i;
-#endif
         }
     }
     // After --refs: spawned workers re-parse the same flags, and the

@@ -8,7 +8,7 @@
  * and scripts):
  *  - the per-cell documents published so far, the publish rate, and
  *    the batches closed;
- *  - one row per participant: cells published, steal/requeue counts,
+ *  - one row per participant: cells published, requeue count,
  *    busy time, utilization over its closed batches, and the cell
  *    currently in flight with its phase and elapsed time.
  *
@@ -29,9 +29,7 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 #include "common/sweep_events.hpp"
 
@@ -102,9 +100,8 @@ render(const std::vector<ParticipantFold> &folds, std::size_t docs,
     std::printf(" | %llu batches closed (%llu cells)\n\n",
                 static_cast<unsigned long long>(batches),
                 static_cast<unsigned long long>(batch_cells));
-    std::printf("%-14s %8s %8s %8s %8s %6s  %s\n", "participant",
-                "cells", "stolen", "requeue", "busy", "util",
-                "in flight");
+    std::printf("%-14s %8s %8s %8s %6s  %s\n", "participant", "cells",
+                "requeue", "busy", "util", "in flight");
 
     const std::uint64_t now_us = nowWallUs();
     for (const ParticipantFold &p : folds) {
@@ -119,10 +116,9 @@ render(const std::vector<ParticipantFold> &folds, std::size_t docs,
             flight = p.in_flight_cell + " (" + p.in_flight_phase +
                      ", " + humanSeconds(for_s) + ")";
         }
-        std::printf("%-14s %8llu %8llu %8llu %8s %6.2f  %s\n",
+        std::printf("%-14s %8llu %8llu %8s %6.2f  %s\n",
                     p.name.c_str(),
                     static_cast<unsigned long long>(p.cells),
-                    static_cast<unsigned long long>(p.stolen),
                     static_cast<unsigned long long>(p.requeued),
                     humanSeconds(p.busy_us / 1e6).c_str(),
                     p.utilization(), flight.c_str());
@@ -170,11 +166,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-#ifdef _WIN32
-    const bool tty = false;
-#else
     const bool tty = isatty(fileno(stdout)) != 0;
-#endif
     const auto t0 = std::chrono::steady_clock::now();
     const std::size_t docs_at_start = countDocs(results_dir);
     for (;;) {

@@ -6,14 +6,9 @@
 #include <cstdlib>
 #include <fstream>
 
-#ifdef _WIN32
-#include <io.h>
-#include <process.h>
-#else
 #include <fcntl.h>
 #include <signal.h>
 #include <unistd.h>
-#endif
 
 namespace dice
 {
@@ -21,26 +16,17 @@ namespace dice
 long
 claimPid()
 {
-#ifdef _WIN32
-    return static_cast<long>(_getpid());
-#else
     return static_cast<long>(getpid());
-#endif
 }
 
 const std::string &
 claimHost()
 {
     static const std::string host = [] {
-#ifdef _WIN32
-        const char *h = std::getenv("COMPUTERNAME");
-        return std::string(h != nullptr ? h : "unknown");
-#else
         char buf[256] = {0};
         if (gethostname(buf, sizeof buf - 1) != 0)
             return std::string("unknown");
         return std::string(buf);
-#endif
     }();
     return host;
 }
@@ -48,13 +34,7 @@ claimHost()
 bool
 claimPidAlive(long pid)
 {
-#ifdef _WIN32
-    // No cheap liveness probe; rely on the mtime staleness fallback.
-    (void)pid;
-    return true;
-#else
     return kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH;
-#endif
 }
 
 bool
@@ -98,10 +78,6 @@ claimBody()
 ClaimAttempt
 createClaimFile(const std::filesystem::path &path)
 {
-#ifdef _WIN32
-    (void)path;
-    return ClaimAttempt::Error;
-#else
     const int fd =
         ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
     if (fd >= 0) {
@@ -113,7 +89,6 @@ createClaimFile(const std::filesystem::path &path)
         return ClaimAttempt::Acquired;
     }
     return errno == EEXIST ? ClaimAttempt::Busy : ClaimAttempt::Error;
-#endif
 }
 
 bool

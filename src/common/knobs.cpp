@@ -44,8 +44,6 @@ knobTable()
          "sweep results directory (default <cache dir>/results)"},
         {"DICE_SWEEP_MERGED", "", KnobRule::Text,
          "path of the canonical merged sweep document"},
-        {"DICE_SWEEP_LEASE_STALE_S", "30", KnobRule::Count,
-         "seconds before a silent cell lease is requeued"},
         {"DICE_SWEEP_STRAGGLER_K", "4", KnobRule::Real,
          "a cell slower than k x p90 is a straggler"},
     }};

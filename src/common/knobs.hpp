@@ -41,10 +41,10 @@ enum class Knob : std::uint8_t
 {
     BenchRefs, BenchJobs, BenchCacheDir, BenchNoCache, BenchOrgs,
     StatsJson, StatsInterval, Progress, DecisionTrace, LogLevel,
-    SweepResults, SweepMerged, SweepLeaseStaleS, SweepStragglerK,
+    SweepResults, SweepMerged, SweepStragglerK,
 };
 
-inline constexpr std::size_t kKnobCount = 14;
+inline constexpr std::size_t kKnobCount = 13;
 
 /** The knob table, indexed by Knob. */
 const std::array<KnobSpec, kKnobCount> &knobTable();

@@ -253,15 +253,14 @@ SweepJournal::mark(const char *name, const std::string &detail)
 }
 
 void
-SweepJournal::claim(const std::string &cell, bool stolen, bool requeued,
+SweepJournal::claim(const std::string &cell, bool requeued,
                     std::uint64_t wait_us, std::uint64_t acquire_us)
 {
     if (enabled())
-        writeRecord("\"ev\":\"claim\",\"cell\":\"%s\",\"stolen\":%d,"
-                    "\"requeued\":%d,\"wait_us\":%" PRIu64
-                    ",\"acquire_us\":%" PRIu64,
-                    escaped(cell).c_str(), stolen ? 1 : 0,
-                    requeued ? 1 : 0, wait_us, acquire_us);
+        writeRecord("\"ev\":\"claim\",\"cell\":\"%s\",\"requeued\":%d,"
+                    "\"wait_us\":%" PRIu64 ",\"acquire_us\":%" PRIu64,
+                    escaped(cell).c_str(), requeued ? 1 : 0, wait_us,
+                    acquire_us);
 }
 
 void
@@ -524,8 +523,6 @@ parseJournalLine(const std::string &line, JournalEvent &out)
             out.tid = static_cast<std::uint32_t>(toU64(value));
         else if (key == "pid")
             out.pid = std::strtol(value.c_str(), nullptr, 10);
-        else if (key == "stolen")
-            out.stolen = value == "1" || value == "true";
         else if (key == "requeued")
             out.requeued = value == "1" || value == "true";
         // Unknown keys are ignored: a newer writer must not break an
@@ -546,6 +543,7 @@ readJournal(const std::filesystem::path &path, ParticipantJournal &out,
     }
     out = ParticipantJournal{};
     out.name = path.stem().string();
+    bool epoch = false;
     std::string line;
     while (std::getline(in, line)) {
         if (line.empty())
@@ -554,23 +552,20 @@ readJournal(const std::filesystem::path &path, ParticipantJournal &out,
         if (!parseJournalLine(line, e))
             continue; // torn final line of a killed writer
         if (e.ev == "epoch") {
-            JournalSegment seg;
-            seg.epoch_wall_us = e.wall_us;
-            seg.epoch_mono_us = e.mono_us;
-            seg.pid = e.pid;
-            seg.offset_us = static_cast<double>(e.wall_us) -
-                            static_cast<double>(e.mono_us);
-            out.segments.push_back(seg);
-            if (!e.name.empty())
+            if (!epoch) {
+                epoch = true;
                 out.host = e.name; // parse stashes host in name
+                out.pid = e.pid;
+                out.epoch_mono_us = e.mono_us;
+                out.offset_us = static_cast<double>(e.wall_us) -
+                                static_cast<double>(e.mono_us);
+            }
             continue;
         }
-        if (out.segments.empty())
-            continue; // pre-epoch garbage
-        e.segment = static_cast<int>(out.segments.size()) - 1;
-        out.events.push_back(std::move(e));
+        if (epoch)
+            out.events.push_back(std::move(e)); // else pre-epoch garbage
     }
-    if (out.segments.empty()) {
+    if (!epoch) {
         if (error != nullptr)
             *error = path.string() + " has no epoch record";
         return false;
@@ -613,7 +608,6 @@ void
 ParticipantFold::merge(const ParticipantFold &other)
 {
     cells += other.cells;
-    stolen += other.stolen;
     requeued += other.requeued;
     busy_us += other.busy_us;
     batch_busy_us += other.batch_busy_us;
@@ -638,18 +632,11 @@ foldJournal(const ParticipantJournal &journal)
     const auto hist = [&f](SweepPhase p) -> LogHistogram & {
         return f.phases[static_cast<unsigned>(p)];
     };
-    const int last_segment = static_cast<int>(journal.segments.size()) - 1;
-    // Busy time since the segment's last batch record: it joins the
-    // utilization numerator only once a batch record closes it.
+    // Busy time since the last batch record: it joins the utilization
+    // numerator only once a batch record closes it.
     std::uint64_t open_busy_us = 0;
-    int segment = 0;
     for (const JournalEvent &e : journal.events) {
-        if (e.segment != segment) {
-            segment = e.segment;
-            open_busy_us = 0;
-        }
         if (e.ev == "claim") {
-            f.stolen += e.stolen ? 1 : 0;
             f.requeued += e.requeued ? 1 : 0;
             hist(SweepPhase::ClaimWait).sample(e.wait_us);
             hist(SweepPhase::LeaseAcquire).sample(e.acquire_us);
@@ -680,9 +667,7 @@ foldJournal(const ParticipantJournal &journal)
             open_busy_us = 0;
         }
 
-        // In-flight cell of the last segment (the live process).
-        if (e.segment != last_segment)
-            continue;
+        // The in-flight cell: the latest begun one not yet closed.
         if (e.ev == "begin" && e.phase == "cell") {
             f.in_flight_cell = e.cell;
             f.in_flight_phase = "cell";
@@ -718,10 +703,9 @@ namespace
 {
 
 double
-alignedUs(const ParticipantJournal &p, int segment, std::uint64_t mono)
+alignedUs(const ParticipantJournal &p, std::uint64_t mono)
 {
-    return p.segments[static_cast<std::size_t>(segment)].offset_us +
-           static_cast<double>(mono);
+    return p.offset_us + static_cast<double>(mono);
 }
 
 /**
@@ -730,15 +714,13 @@ alignedUs(const ParticipantJournal &p, int segment, std::uint64_t mono)
  * happens-before edges that survive any skew:
  *
  *  - spawn marks: a spawned worker's epoch cannot precede the
- *    coordinator's mark (the k-th spawn mark naming participant q
- *    pairs with q's k-th journal segment — workers are respawned per
- *    batch, appending one segment each);
+ *    coordinator's mark naming it;
  *  - requeued claims: a claim acquired by breaking a dead holder's
  *    lease cannot precede the cell's first (non-requeued) claim.
  *
- * Violations are repaired by pushing the *later* party's segment
+ * Violations are repaired by pushing the *later* party's journal
  * offset forward (never backward: a forward-only shift cannot break a
- * previously-satisfied constraint of the same kind on that segment's
+ * previously-satisfied constraint of the same kind on that journal's
  * own earlier events). Bounded passes; the constraint graph is tiny.
  */
 void
@@ -748,10 +730,8 @@ relaxOffsets(std::vector<ParticipantJournal> &journals)
     {
         // aligned(before) <= aligned(after)
         std::size_t before_j;
-        int before_seg;
         std::uint64_t before_mono;
         std::size_t after_j;
-        int after_seg;
         std::uint64_t after_mono;
     };
     std::vector<Constraint> constraints;
@@ -760,22 +740,15 @@ relaxOffsets(std::vector<ParticipantJournal> &journals)
     for (std::size_t j = 0; j < journals.size(); ++j)
         by_name[journals[j].name] = j;
 
-    // Spawn marks -> target segments, pairing k-th with k-th.
-    std::map<std::string, std::size_t> spawn_seen;
+    // Spawn marks -> the epochs of the journals they name.
     for (std::size_t j = 0; j < journals.size(); ++j) {
         for (const JournalEvent &e : journals[j].events) {
             if (e.ev != "mark" || e.name != "spawn")
                 continue;
             const auto it = by_name.find(e.detail);
-            if (it == by_name.end())
-                continue;
-            const std::size_t k = spawn_seen[e.detail]++;
-            const ParticipantJournal &q = journals[it->second];
-            if (k >= q.segments.size())
-                continue;
-            constraints.push_back(
-                {j, e.segment, e.mono_us, it->second,
-                 static_cast<int>(k), q.segments[k].epoch_mono_us});
+            if (it != by_name.end())
+                constraints.push_back({j, e.mono_us, it->second,
+                                       journals[it->second].epoch_mono_us});
         }
     }
 
@@ -783,7 +756,6 @@ relaxOffsets(std::vector<ParticipantJournal> &journals)
     struct ClaimRef
     {
         std::size_t j;
-        int seg;
         std::uint64_t mono;
     };
     std::map<std::string, ClaimRef> first_claim;
@@ -792,7 +764,7 @@ relaxOffsets(std::vector<ParticipantJournal> &journals)
         for (const JournalEvent &e : journals[j].events) {
             if (e.ev != "claim")
                 continue;
-            const ClaimRef ref{j, e.segment, e.mono_us};
+            const ClaimRef ref{j, e.mono_us};
             if (e.requeued) {
                 requeued_claims.emplace_back(e.cell, ref);
             } else if (first_claim.find(e.cell) == first_claim.end()) {
@@ -805,21 +777,18 @@ relaxOffsets(std::vector<ParticipantJournal> &journals)
         if (it == first_claim.end())
             continue;
         const ClaimRef &f = it->second;
-        constraints.push_back(
-            {f.j, f.seg, f.mono, r.j, r.seg, r.mono});
+        constraints.push_back({f.j, f.mono, r.j, r.mono});
     }
 
     for (int pass = 0; pass < 16; ++pass) {
         bool changed = false;
         for (const Constraint &c : constraints) {
-            const double before = alignedUs(journals[c.before_j],
-                                            c.before_seg, c.before_mono);
-            const double after = alignedUs(journals[c.after_j],
-                                           c.after_seg, c.after_mono);
+            const double before =
+                alignedUs(journals[c.before_j], c.before_mono);
+            const double after =
+                alignedUs(journals[c.after_j], c.after_mono);
             if (after < before) {
-                journals[c.after_j]
-                    .segments[static_cast<std::size_t>(c.after_seg)]
-                    .offset_us += before - after;
+                journals[c.after_j].offset_us += before - after;
                 changed = true;
             }
         }
@@ -893,14 +862,11 @@ mergeSweepTimeline(const std::filesystem::path &events_dir,
     // becomes t=0 of the merged timeline.
     double t0 = std::numeric_limits<double>::max();
     for (const ParticipantJournal &p : journals) {
-        for (std::size_t s = 0; s < p.segments.size(); ++s)
-            t0 = std::min(t0, alignedUs(p, static_cast<int>(s),
-                                        p.segments[s].epoch_mono_us));
+        t0 = std::min(t0, alignedUs(p, p.epoch_mono_us));
         for (const JournalEvent &e : p.events) {
-            t0 = std::min(t0, alignedUs(p, e.segment, e.mono_us));
+            t0 = std::min(t0, alignedUs(p, e.mono_us));
             if (e.ev == "phase")
-                t0 = std::min(t0,
-                              alignedUs(p, e.segment, e.start_us));
+                t0 = std::min(t0, alignedUs(p, e.start_us));
         }
     }
 
@@ -925,17 +891,14 @@ mergeSweepTimeline(const std::filesystem::path &events_dir,
         out += "}";
 
         for (const JournalEvent &e : p.events) {
-            const double ts = alignedUs(p, e.segment, e.mono_us) - t0;
+            const double ts = alignedUs(p, e.mono_us) - t0;
             if (e.ev == "phase") {
-                const double start =
-                    alignedUs(p, e.segment, e.start_us) - t0;
+                const double start = alignedUs(p, e.start_us) - t0;
                 appendTraceEvent(out, first, e.phase.c_str(), "phase",
                                  "X", start, j, e.tid, cellArg(e.cell),
                                  e.dur_us);
             } else if (e.ev == "claim") {
-                const char *name = e.requeued ? "requeue"
-                                   : e.stolen ? "steal"
-                                              : "claim";
+                const char *name = e.requeued ? "requeue" : "claim";
                 std::string args = "{\"cell\": \"";
                 appendJsonEscaped(args, e.cell);
                 args += "\", \"wait_us\": ";

@@ -7,14 +7,14 @@
  *
  * A multi-process (possibly multi-host) sweep has no shared memory,
  * so every process that writes into a sweep results directory — the
- * `--serve` coordinator, spawned `--worker`s, `--join` attachers, and
- * a serial run that sets DICE_SWEEP_RESULTS — appends structured
+ * `--serve` coordinator, its spawned `--worker`s, `--join` attachers,
+ * and a serial run that sets DICE_SWEEP_RESULTS — appends structured
  * events to its own journal `<results>/events/<participant>.jsonl`:
  *
  *   {"ev":"epoch","participant":..,"pid":..,"host":..,"tid":..,
- *    "wall_us":..,"mono_us":..}            first record per process
+ *    "wall_us":..,"mono_us":..}            first record
  *   {"ev":"mark","name":..,"detail":..,...}    e.g. worker spawns
- *   {"ev":"claim","cell":..,"stolen":0|1,"requeued":0|1,
+ *   {"ev":"claim","cell":..,"requeued":0|1,
  *    "wait_us":..,"acquire_us":..,...}     queue claim (requeued=1:
  *                                          acquired by breaking a
  *                                          dead holder's lease)
@@ -39,20 +39,23 @@
  * the journal is lane 0), so the merged timeline draws each thread's
  * spans on a lane of their own, where they nest.
  *
- * The journal is the participant's only status file. foldJournal()
- * turns it into the participant's record — cells, steals, requeues,
- * busy time, utilization, arena traffic, phase histograms, slowest
- * cell, in-flight cell — and the coordinator's sweep_summary.json,
- * bench/sweep_top, and the tests all read that one fold.
+ * The journal is the participant's only status file, and one
+ * process's: the owning coordinator (or serial run) clears the events
+ * directory when it starts, and every other participant works one
+ * batch and exits. foldJournal() turns it into the participant's
+ * record — cells, requeues, busy time, utilization, arena traffic,
+ * phase histograms, slowest cell, in-flight cell — and the
+ * coordinator's sweep_summary.json, bench/sweep_top, and the tests all
+ * read that one fold.
  *
  * Every record carries both clocks: "wall_us" (system clock, for
  * humans and cross-host sanity) and "mono_us" (steady clock relative
  * to the process's epoch record, immune to NTP steps). The merge step
- * estimates one offset per journal segment from its epoch record and
- * then *relaxes* it against causal constraints that cannot be
- * violated no matter how skewed the wall clocks are: a worker's epoch
- * cannot precede the coordinator's spawn mark for it, and a requeued
- * claim of a cell cannot precede the first claim of the same cell.
+ * estimates one offset per journal from its epoch record and then
+ * *relaxes* it against causal constraints that cannot be violated no
+ * matter how skewed the wall clocks are: a worker's epoch cannot
+ * precede the coordinator's spawn mark for it, and a requeued claim
+ * of a cell cannot precede the first claim of the same cell.
  * The result is one Chrome trace-event document with a process lane
  * per participant and a thread lane per journalling thread — a whole
  * multi-host sweep in one chrome://tracing (or Perfetto) load, and
@@ -148,10 +151,7 @@ class SweepMetrics
  * process that writes into a sweep results directory.
  *
  * Records are one JSON object per line, fflushed per record so a
- * SIGKILLed worker's journal is complete up to its last event. Files
- * are opened in append mode: a respawned worker of a later batch adds
- * a new epoch record ("segment") to the same journal, and the merge
- * step aligns each segment independently.
+ * SIGKILLed worker's journal is complete up to its last event.
  */
 class SweepJournal
 {
@@ -184,9 +184,10 @@ class SweepJournal
     // JSON-escaped; phase, op and mark names are emitted verbatim
     // (callers pass literals).
     void mark(const char *name, const std::string &detail);
-    /** @p wait_us: how long the claim loop was free; @p acquire_us:
+    /** @p requeued: acquired by breaking a dead holder's lease;
+     *  @p wait_us: how long the claim loop was free; @p acquire_us:
      *  the lease-acquire syscall latency. */
-    void claim(const std::string &cell, bool stolen, bool requeued,
+    void claim(const std::string &cell, bool requeued,
                std::uint64_t wait_us, std::uint64_t acquire_us);
     void begin(const char *phase, const std::string &cell);
     void phase(const char *phase, const std::string &cell,
@@ -283,30 +284,20 @@ struct JournalEvent
     std::uint64_t span_us = 0;
     std::uint64_t bytes = 0; ///< arena stream size.
     long pid = 0;
-    bool stolen = false;
     bool requeued = false;
-    /** Index of the epoch segment this event belongs to. */
-    int segment = 0;
 };
 
-/** One epoch record's scope within a journal (one process run). */
-struct JournalSegment
-{
-    std::uint64_t epoch_wall_us = 0;
-    std::uint64_t epoch_mono_us = 0;
-    long pid = 0;
-    /** Estimated wall-clock offset: aligned(e) = offset + e.mono_us.
-     *  Seeded from the epoch record, then causally relaxed. */
-    double offset_us = 0.0;
-};
-
-/** A fully-read participant journal. */
+/** A fully-read participant journal: one process's records. */
 struct ParticipantJournal
 {
     std::string name; ///< File stem ("coordinator", "worker0", ...).
-    std::string host; ///< From the last epoch record.
-    std::vector<JournalSegment> segments;
-    std::vector<JournalEvent> events; ///< File order, segment-tagged.
+    std::string host; ///< From the epoch record.
+    long pid = 0;     ///< From the epoch record.
+    std::uint64_t epoch_mono_us = 0;
+    /** Estimated wall-clock offset: aligned(e) = offset + e.mono_us.
+     *  Seeded from the epoch record, then causally relaxed. */
+    double offset_us = 0.0;
+    std::vector<JournalEvent> events; ///< After the epoch, file order.
 };
 
 /**
@@ -316,10 +307,11 @@ struct ParticipantJournal
 bool parseJournalLine(const std::string &line, JournalEvent &out);
 
 /**
- * Read a whole journal file. Unparseable lines are skipped (a journal
- * ends mid-line when its writer is SIGKILLed between write and
- * flush); false only when the file cannot be read or contains no
- * epoch record.
+ * Read a whole journal file. The first epoch record wins: records
+ * before it and any later epoch record are skipped, as are
+ * unparseable lines (a journal ends mid-line when its writer is
+ * SIGKILLed between write and flush). False only when the file cannot
+ * be read or contains no epoch record.
  */
 bool readJournal(const std::filesystem::path &path,
                  ParticipantJournal &out, std::string *error = nullptr);
@@ -347,7 +339,6 @@ struct ParticipantFold
 {
     std::string name;
     std::uint64_t cells = 0;    ///< Publish records.
-    std::uint64_t stolen = 0;   ///< Claims with stolen=1.
     std::uint64_t requeued = 0; ///< Claims with requeued=1.
     std::uint64_t busy_us = 0;  ///< Sum of whole-cell phase durations.
     /** busy_us inside closed batches (those ended by a batch record):
@@ -363,9 +354,9 @@ struct ParticipantFold
     std::array<LogHistogram, kSweepPhases> phases;
     std::string slowest_cell; ///< Longest whole-cell phase record.
     std::uint64_t slowest_us = 0;
-    /** The last segment's unfinished cell ("" when idle): the latest
-     *  "begin cell" with no later publish or cell phase for it. A
-     *  crashed worker keeps reporting its final cell. */
+    /** The unfinished cell ("" when idle): the latest "begin cell"
+     *  with no later publish or cell phase for it. A crashed worker
+     *  keeps reporting its final cell. */
     std::string in_flight_cell;
     std::string in_flight_phase; ///< Deepest begun phase of that cell.
     std::uint64_t in_flight_since_wall_us = 0;
@@ -378,7 +369,7 @@ struct ParticipantFold
     void merge(const ParticipantFold &other);
 };
 
-/** Fold one participant's journal (all segments, file order). */
+/** Fold one participant's journal (file order). */
 ParticipantFold foldJournal(const ParticipantJournal &journal);
 
 /** foldJournal over readJournals(@p events_dir), in name order. */
@@ -397,13 +388,13 @@ struct TimelineStats
 
 /**
  * Merge every *.jsonl journal under @p events_dir into one Chrome
- * trace-event document at @p out_path: per-segment clock offsets from
+ * trace-event document at @p out_path: per-journal clock offsets from
  * the epoch records, causal constraint relaxation (worker epochs
  * after their spawn marks; requeued claims after the cell's first
  * claim), one process lane (pid) per participant and one thread
  * lane (tid) per journalling thread, "X" events for spans and
- * instant events for claims/steals/requeues/publishes/lease
- * ops/arena traffic. Deterministic for a given set of journals.
+ * instant events for claims/requeues/publishes/lease ops/arena
+ * traffic. Deterministic for a given set of journals.
  * False (with @p error) when the directory has no readable journals
  * or the output cannot be written.
  */

@@ -39,10 +39,10 @@ linesMentioning(const std::string &text, const std::string &needle)
     return n;
 }
 
-TEST(Knobs, TableHasFourteenDistinctRowsWhoseDefaultsParse)
+TEST(Knobs, TableHasThirteenDistinctRowsWhoseDefaultsParse)
 {
     const auto &table = knobTable();
-    ASSERT_EQ(table.size(), 14u);
+    ASSERT_EQ(table.size(), 13u);
     std::set<std::string> names;
     for (const KnobSpec &s : table) {
         EXPECT_EQ(std::string(s.name).rfind("DICE_", 0), 0u) << s.name;

@@ -17,7 +17,7 @@ SramCacheConfig
 smallConfig(std::uint32_t ways = 2)
 {
     SramCacheConfig c;
-    c.name = "t";
+    c.name = std::string("t");
     c.size_bytes = 64 * 64; // 64 lines
     c.ways = ways;
     c.hit_latency = 4;

@@ -3,10 +3,11 @@
  * End-to-end observability tests through the bench harness: a sweep
  * run with DICE_STATS_JSON must leave one valid, complete stats
  * document per fresh cell, a serial sweep with DICE_SWEEP_RESULTS
- * must merge its journal into a Perfetto-loadable timeline with every
- * cell's phases nested on one thread lane and report the effective
- * knob set in sweep_summary.json, and DICE_PROGRESS must produce the
- * heartbeat line.
+ * must clear what a previous run left in its results directory, merge
+ * its journal into a Perfetto-loadable timeline with every cell's
+ * phases nested on one thread lane and report the effective knob set
+ * in sweep_summary.json, and DICE_PROGRESS must produce the heartbeat
+ * line.
  */
 
 #include <gtest/gtest.h>
@@ -19,9 +20,7 @@
 #include <string>
 #include <vector>
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 #include "common/knobs.hpp"
 #include "common/sweep_events.hpp"
@@ -175,6 +174,16 @@ TEST_F(StatsExportTest, SweepEmitsAPerfettoLoadableTrace)
     }
     setenv("DICE_SWEEP_RESULTS", results.c_str(), 1);
 
+    // A previous run's journal, cell document and lease: the run that
+    // owns the directory clears them, so they never pass for its own.
+    const std::vector<fs::path> stale = {results / "old.cell.json",
+                                         results / "leases" / "old.lease",
+                                         results / "events" / "old.jsonl"};
+    for (const fs::path &p : stale) {
+        fs::create_directories(p.parent_path());
+        std::ofstream(p) << "{}\n";
+    }
+
     const std::vector<std::string> workloads = {rateNames()[1],
                                                 gapNames()[1]};
     const SystemConfig base = defaultBase();
@@ -185,6 +194,10 @@ TEST_F(StatsExportTest, SweepEmitsAPerfettoLoadableTrace)
     runSweep(workloads, orgs);
     SweepJournal::instance().close();
     unsetenv("DICE_SWEEP_RESULTS");
+
+    for (const fs::path &p : stale)
+        EXPECT_FALSE(fs::exists(p)) << p;
+    EXPECT_TRUE(fs::exists(results / "events" / "serial.jsonl"));
 
     // The summary's "knobs" object names exactly the table's knobs,
     // echoes the values set above and shows defaults for the rest.

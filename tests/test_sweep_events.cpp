@@ -229,13 +229,12 @@ TEST(SweepJournal, ParseJournalLine)
 {
     JournalEvent e;
     ASSERT_TRUE(dice::parseJournalLine(
-        R"({"ev":"claim","cell":"mcf_dice","stolen":1,"requeued":0,)"
+        R"({"ev":"claim","cell":"mcf_dice","requeued":1,)"
         R"("wait_us":42,"wall_us":1000,"mono_us":7})",
         e));
     EXPECT_EQ(e.ev, "claim");
     EXPECT_EQ(e.cell, "mcf_dice");
-    EXPECT_TRUE(e.stolen);
-    EXPECT_FALSE(e.requeued);
+    EXPECT_TRUE(e.requeued);
     EXPECT_EQ(e.wait_us, 42u);
     EXPECT_EQ(e.mono_us, 7u);
     EXPECT_EQ(e.tid, 0u); // a record without a lane is lane 0
@@ -270,26 +269,29 @@ TEST(SweepJournal, ParseJournalLine)
     EXPECT_FALSE(dice::parseJournalLine(R"({"cell":"x"})", e)); // no ev
 }
 
-TEST(SweepJournal, ReadJournalSegmentsAndTornTail)
+TEST(SweepJournal, ReadJournalOneEpochAndTornTail)
 {
     const auto dir = freshDir("dice_test_journal_read");
     const auto path = dir / "worker0.jsonl";
-    // Two process runs (epochs) in one journal, one garbage line in
-    // the middle, one torn line at the end (SIGKILL between write and
-    // flush) — all of which a reader must survive.
+    // A record before the epoch, one garbage line and a second epoch
+    // record in the middle, and one torn line at the end (SIGKILL
+    // between write and flush): the reader keeps the first epoch and
+    // skips the rest of these.
     writeFile(
         path,
+        R"({"ev":"publish","cell":"z","wall_us":900000,"mono_us":5})"
+        "\n"
         R"({"ev":"epoch","participant":"worker0","pid":11,"host":"h1",)"
         R"("wall_us":1000000,"mono_us":0})"
         "\n"
-        R"({"ev":"claim","cell":"a","stolen":0,"requeued":0,)"
+        R"({"ev":"claim","cell":"a","requeued":0,)"
         R"("wait_us":1,"wall_us":1000500,"mono_us":500})"
         "\n"
         "garbage line\n"
-        R"({"ev":"epoch","participant":"worker0","pid":12,"host":"h1",)"
+        R"({"ev":"epoch","participant":"worker0","pid":12,"host":"h2",)"
         R"("wall_us":9000000,"mono_us":0})"
         "\n"
-        R"({"ev":"publish","cell":"b","wall_us":9000100,"mono_us":100})"
+        R"({"ev":"publish","cell":"b","wall_us":1000600,"mono_us":600})"
         "\n"
         R"({"ev":"publish","cell":"c","wall)");
 
@@ -297,12 +299,12 @@ TEST(SweepJournal, ReadJournalSegmentsAndTornTail)
     ASSERT_TRUE(dice::readJournal(path, p));
     EXPECT_EQ(p.name, "worker0");
     EXPECT_EQ(p.host, "h1");
-    ASSERT_EQ(p.segments.size(), 2u);
-    EXPECT_EQ(p.segments[0].pid, 11);
-    EXPECT_EQ(p.segments[1].pid, 12);
+    EXPECT_EQ(p.pid, 11);
+    EXPECT_EQ(p.epoch_mono_us, 0u);
+    EXPECT_DOUBLE_EQ(p.offset_us, 1000000.0);
     ASSERT_EQ(p.events.size(), 2u);
-    EXPECT_EQ(p.events[0].segment, 0);
-    EXPECT_EQ(p.events[1].segment, 1);
+    EXPECT_EQ(p.events[0].cell, "a");
+    EXPECT_EQ(p.events[1].cell, "b");
 
     // No epoch record at all -> not a journal.
     writeFile(dir / "junk.jsonl", "{\"ev\":\"claim\",\"cell\":\"x\"}\n");
@@ -343,14 +345,14 @@ writeSkewedJournals()
         R"("wall_us":1002000,"mono_us":2000})"
         "\n");
 
-    // worker0: claims cell "a" (stolen), runs it, publishes, dies —
-    // no release, journal just ends.
+    // worker0: claims cell "a", runs it, publishes, dies — no
+    // release, journal just ends.
     writeFile(
         events / "worker0.jsonl",
         R"({"ev":"epoch","participant":"worker0","pid":2,)"
         R"("host":"h1","wall_us":500000,"mono_us":0})"
         "\n"
-        R"({"ev":"claim","cell":"a","stolen":1,"requeued":0,)"
+        R"({"ev":"claim","cell":"a","requeued":0,)"
         R"("wait_us":10,"wall_us":501000,"mono_us":1000})"
         "\n"
         R"({"ev":"phase","phase":"cell","cell":"a",)"
@@ -364,7 +366,7 @@ writeSkewedJournals()
         R"({"ev":"epoch","participant":"worker1","pid":3,)"
         R"("host":"h2","wall_us":100000,"mono_us":0})"
         "\n"
-        R"({"ev":"claim","cell":"a","stolen":1,"requeued":1,)"
+        R"({"ev":"claim","cell":"a","requeued":1,)"
         R"("wait_us":0,"wall_us":100500,"mono_us":500})"
         "\n"
         R"({"ev":"publish","cell":"a","wall_us":160500,)"
@@ -412,7 +414,7 @@ TEST(SweepTimeline, SkewedClocksMergeCausallyConsistent)
         if (name == "spawn" &&
             ev->at("args").at("detail").string == "worker1")
             spawn1_ts = ev->at("ts").number;
-        if (name == "steal" && ev->at("args").at("cell").string == "a")
+        if (name == "claim" && ev->at("args").at("cell").string == "a")
             first_claim_ts = ev->at("ts").number;
         if (name == "requeue" &&
             ev->at("args").at("cell").string == "a")
@@ -704,12 +706,11 @@ epoch(const std::string &who, long pid)
 }
 
 std::string
-claim(const std::string &cell, int stolen, int requeued,
-      std::uint64_t wait_us, std::uint64_t acquire_us)
+claim(const std::string &cell, int requeued, std::uint64_t wait_us,
+      std::uint64_t acquire_us)
 {
     return rec("\"ev\":\"claim\",\"cell\":\"" + cell +
-               "\",\"stolen\":" + std::to_string(stolen) +
-               ",\"requeued\":" + std::to_string(requeued) +
+               "\",\"requeued\":" + std::to_string(requeued) +
                ",\"wait_us\":" + std::to_string(wait_us) +
                ",\"acquire_us\":" + std::to_string(acquire_us));
 }
@@ -742,11 +743,10 @@ batch(unsigned long index, std::size_t cells, unsigned jobs,
 }
 
 /**
- * A two-batch sweep as its participants would journal it:
- *  - the coordinator spawns, simulates nothing, closes both batches;
- *  - worker0 works batch 0 (segment 0), then is respawned for batch 1
- *    (segment 1) and SIGKILLed mid-cell: no batch record, a torn
- *    final line;
+ * A one-batch sweep of cells a-e as its participants would journal it:
+ *  - the coordinator spawns, simulates nothing, closes the batch;
+ *  - worker0 works a and c, then is SIGKILLed mid-cell on d: no batch
+ *    record, a torn final line;
  *  - worker1 requeues worker0's dead cell and has the slowest cell;
  *  - join77 attached late and has not closed its batch yet.
  */
@@ -758,10 +758,9 @@ writeFoldJournals()
     std::filesystem::create_directories(events);
     writeFile(events / "coordinator.jsonl",
               epoch("coordinator", 1) +
-                  event("mark", "name", "spawn") + batch(0, 2, 4, 100000) +
-                  batch(1, 3, 4, 200000));
+                  event("mark", "name", "spawn") + batch(0, 5, 4, 100000));
     writeFile(events / "worker0.jsonl",
-              epoch("worker0", 2) + claim("a", 0, 0, 10, 3) +
+              epoch("worker0", 2) + claim("a", 0, 10, 3) +
                   event("arena", "op", "generate") +
                   phase("generate", "a", 2000) +
                   phase("simulate", "a", 30000) +
@@ -769,28 +768,27 @@ writeFoldJournals()
                   event("publish", "cell", "a") +
                   rec("\"ev\":\"lease\",\"op\":\"refresh\","
                       "\"cell\":\"a\",\"dur_us\":7") +
-                  batch(0, 2, 1, 50000) + epoch("worker0", 5) +
-                  claim("c", 1, 0, 0, 4) +
+                  claim("c", 0, 0, 4) +
                   rec("\"ev\":\"begin\",\"phase\":\"cell\","
                       "\"cell\":\"c\"") +
                   phase("cell", "c", 20000) +
-                  event("publish", "cell", "c") + claim("d", 1, 0, 5, 2) +
+                  event("publish", "cell", "c") + claim("d", 0, 5, 2) +
                   rec("\"ev\":\"begin\",\"phase\":\"cell\","
                       "\"cell\":\"d\"") +
                   rec("\"ev\":\"begin\",\"phase\":\"simulate\","
                       "\"cell\":\"d\"") +
                   R"({"ev":"phase","phase":"cell","cell":"d","dur)");
     writeFile(events / "worker1.jsonl",
-              epoch("worker1", 3) + claim("b", 1, 0, 20, 5) +
+              epoch("worker1", 3) + claim("b", 0, 20, 5) +
                   phase("cell", "b", 70000) +
                   event("publish", "cell", "b") +
                   rec("\"ev\":\"lease\",\"op\":\"break\","
                       "\"cell\":\"d\",\"dur_us\":0") +
-                  claim("d", 1, 1, 100, 9) + phase("cell", "d", 10000) +
+                  claim("d", 1, 100, 9) + phase("cell", "d", 10000) +
                   event("publish", "cell", "d") +
-                  batch(1, 3, 2, 90000));
+                  batch(0, 5, 2, 90000));
     writeFile(events / "join77.jsonl",
-              epoch("join77", 77) + claim("e", 1, 0, 0, 1) +
+              epoch("join77", 77) + claim("e", 0, 0, 1) +
                   phase("cell", "e", 5000) +
                   event("publish", "cell", "e"));
     return dir;
@@ -823,31 +821,29 @@ TEST(SweepFold, RebuildsEveryParticipantRecord)
     EXPECT_EQ(w0.name, "worker0");
     EXPECT_EQ(w1.name, "worker1");
 
-    // The coordinator closed both batches and simulated nothing.
+    // The coordinator closed the batch and simulated nothing.
     EXPECT_EQ(coord.cells, 0u);
-    EXPECT_EQ(coord.batches, 2u);
+    EXPECT_EQ(coord.batches, 1u);
     EXPECT_EQ(coord.batch_cells, 5u);
-    EXPECT_EQ(coord.span_us, 300000u);
+    EXPECT_EQ(coord.span_us, 100000u);
     EXPECT_EQ(coord.jobs, 4u);
     EXPECT_DOUBLE_EQ(coord.utilization(), 0.0);
 
-    // worker0: both segments count; the killed segment's cell d is
-    // still in flight (its closing record was torn), and only the
-    // closed batch's busy time enters utilization.
+    // worker0 published two cells before it died; d is still in
+    // flight (its closing record was torn), and with no batch record
+    // none of its busy time enters utilization.
     EXPECT_EQ(w0.cells, 2u);
-    EXPECT_EQ(w0.stolen, 2u);
     EXPECT_EQ(w0.requeued, 0u);
     EXPECT_EQ(w0.busy_us, 60000u);
-    EXPECT_EQ(w0.batches, 1u);
-    EXPECT_EQ(w0.span_us, 50000u);
-    EXPECT_EQ(w0.jobs, 1u);
-    EXPECT_DOUBLE_EQ(w0.utilization(), 40000.0 / 50000.0);
+    EXPECT_EQ(w0.batches, 0u);
+    EXPECT_EQ(w0.span_us, 0u);
+    EXPECT_EQ(w0.jobs, 0u);
+    EXPECT_DOUBLE_EQ(w0.utilization(), 0.0);
     EXPECT_EQ(w0.generations, 1u);
     EXPECT_EQ(w0.in_flight_cell, "d");
     EXPECT_EQ(w0.in_flight_phase, "simulate");
 
     EXPECT_EQ(w1.cells, 2u);
-    EXPECT_EQ(w1.stolen, 2u);
     EXPECT_EQ(w1.requeued, 1u);
     EXPECT_EQ(w1.busy_us, 80000u);
     EXPECT_EQ(w1.jobs, 2u);
@@ -858,7 +854,6 @@ TEST(SweepFold, RebuildsEveryParticipantRecord)
 
     // The joiner's batch is still open: counted work, no span yet.
     EXPECT_EQ(join.cells, 1u);
-    EXPECT_EQ(join.stolen, 1u);
     EXPECT_EQ(join.busy_us, 5000u);
     EXPECT_EQ(join.batches, 0u);
     EXPECT_EQ(join.jobs, 0u);
@@ -904,7 +899,7 @@ TEST(SweepFold, EmittersRoundTripThroughTheFold)
     const auto dir = freshDir("dice_test_journal_emit");
     dice::SweepJournal &jr = dice::SweepJournal::instance();
     ASSERT_TRUE(jr.open(dir, "worker3"));
-    jr.claim("mcf_dice", true, true, 12, 34);
+    jr.claim("mcf_dice", true, 12, 34);
     jr.begin("cell", "mcf_dice");
     jr.phase("cell", "mcf_dice", 0, 5000);
     jr.publish("mcf_dice");
@@ -919,7 +914,6 @@ TEST(SweepFold, EmittersRoundTripThroughTheFold)
     const ParticipantFold &f = folds[0];
     EXPECT_EQ(f.name, "worker3");
     EXPECT_EQ(f.cells, 1u);
-    EXPECT_EQ(f.stolen, 1u);
     EXPECT_EQ(f.requeued, 1u);
     EXPECT_EQ(f.busy_us, 5000u);
     EXPECT_EQ(f.generations, 1u);

@@ -1,20 +1,19 @@
 /**
  * @file
- * Tests of the work-stealing sweep scheduler: the shared claim/lease
- * protocol (common/claim_file.hpp), the cell claim queue's cost
- * ordering and exactly-once claim handout — including a forked
- * two-claimant fuzz race — lease-expiry requeue of a SIGKILLed
- * holder's cells, and a --join-style participant attaching to a
- * half-drained batch. The byte-identity of distributed vs serial
- * sweep *output* is covered end-to-end by the CI sweep legs; these
- * tests pin the scheduling machinery itself.
+ * Tests of the sweep scheduler: the shared claim/lease protocol
+ * (common/claim_file.hpp), the cell claim queue's cost ordering and
+ * exactly-once claim handout — including a forked two-claimant fuzz
+ * race — requeue of a SIGKILLed holder's cells, and a --join-style
+ * participant attaching to a half-drained batch. The byte-identity of
+ * distributed vs serial sweep *output* is covered end-to-end by the
+ * sweep_contract ctest; these tests pin the scheduling machinery
+ * itself.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -27,11 +26,9 @@
 
 #include "common/claim_file.hpp"
 
-#ifndef _WIN32
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace dice
 {
@@ -110,8 +107,6 @@ TEST(ClaimFile, GarbageBodiesAreRejected)
     EXPECT_FALSE(parseClaimBody("owner 12 host x\n", pid, host));
 }
 
-#ifndef _WIN32
-
 TEST(ClaimFile, DeadPidClaimIsNotLive)
 {
     const fs::path dir = scratchDir("dead");
@@ -151,12 +146,10 @@ TEST(ClaimFile, ForeignHostClaimGoesStaleByAge)
     fs::remove_all(dir);
 }
 
-#endif // !_WIN32
-
 TEST(SweepQueue, ClaimsCostDescendingAndExactlyOnce)
 {
     const fs::path dir = scratchDir("order");
-    SweepQueue q(dir, cellsAscendingCost(8), 0, 1);
+    SweepQueue q(dir, cellsAscendingCost(8));
 
     std::vector<std::size_t> order;
     for (;;) {
@@ -177,68 +170,23 @@ TEST(SweepQueue, ClaimsCostDescendingAndExactlyOnce)
     fs::remove_all(dir);
 }
 
-TEST(SweepQueue, StealAccountingFollowsHomeShard)
-{
-    const fs::path dir = scratchDir("steal");
-    // Participant is shard 0 of 2: odd canonical indices are steals.
-    SweepQueue q(dir, cellsAscendingCost(6), 0, 2);
-    while (const std::optional<std::size_t> idx = q.claimNext())
-        q.publish(*idx, "{}\n");
-    EXPECT_EQ(q.stats().claimed, 6u);
-    EXPECT_EQ(q.stats().stolen, 3u);
-    fs::remove_all(dir);
-
-    // No home shard (coordinator / --join): every claim is a steal.
-    const fs::path dir2 = scratchDir("steal2");
-    SweepQueue q2(dir2, cellsAscendingCost(4), 0, 0);
-    while (const std::optional<std::size_t> idx = q2.claimNext())
-        q2.publish(*idx, "{}\n");
-    EXPECT_EQ(q2.stats().stolen, 4u);
-    fs::remove_all(dir2);
-}
-
 TEST(SweepQueue, PublishedDocsAreDoneForLateAttachers)
 {
     const fs::path dir = scratchDir("attach");
     {
-        SweepQueue first(dir, cellsAscendingCost(5), 0, 1);
+        SweepQueue first(dir, cellsAscendingCost(5));
         while (const std::optional<std::size_t> idx = first.claimNext())
             first.publish(*idx, "{}\n");
         EXPECT_TRUE(first.complete());
     }
     // A second participant attaching afterwards claims nothing: every
     // cell's document already exists.
-    SweepQueue second(dir, cellsAscendingCost(5), 0, 1);
+    SweepQueue second(dir, cellsAscendingCost(5));
     EXPECT_EQ(second.claimNext(), std::nullopt);
     EXPECT_TRUE(second.complete());
     EXPECT_EQ(second.stats().claimed, 0u);
     fs::remove_all(dir);
 }
-
-TEST(SweepQueue, ResetCellReturnsACellToVirginState)
-{
-    const fs::path dir = scratchDir("reset");
-    {
-        SweepQueue q(dir, cellsAscendingCost(2), 0, 1);
-        const std::optional<std::size_t> idx = q.claimNext();
-        ASSERT_TRUE(idx.has_value());
-        q.publish(*idx, "{}\n");
-    }
-    const std::string stem = "cell1"; // the higher-cost, claimed first
-    EXPECT_TRUE(fs::exists(SweepQueue::docPath(dir, stem)));
-    SweepQueue::resetCell(dir, stem);
-    EXPECT_FALSE(fs::exists(SweepQueue::docPath(dir, stem)));
-    EXPECT_FALSE(fs::exists(SweepQueue::leasePath(dir, stem)));
-
-    SweepQueue q(dir, cellsAscendingCost(2), 0, 1);
-    const std::optional<std::size_t> idx = q.claimNext();
-    ASSERT_TRUE(idx.has_value());
-    EXPECT_EQ(q.cell(*idx).stem, stem);
-    q.publish(*idx, "{}\n");
-    fs::remove_all(dir);
-}
-
-#ifndef _WIN32
 
 /**
  * Claim exclusivity fuzz, cross-process: two forked children race
@@ -253,7 +201,7 @@ TEST(SweepQueue, TwoProcessesNeverClaimTheSameCell)
     constexpr std::size_t kCells = 32;
 
     const auto child = [&dir]() -> int {
-        SweepQueue q(dir, cellsAscendingCost(kCells), 0, 1);
+        SweepQueue q(dir, cellsAscendingCost(kCells));
         int duplicates = 0;
         for (;;) {
             const std::optional<std::size_t> idx = q.claimNext();
@@ -301,15 +249,14 @@ TEST(SweepQueue, TwoProcessesNeverClaimTheSameCell)
 }
 
 /**
- * Requeue-on-crash: a holder is SIGKILLed mid-cell. Its lease stops
- * refreshing, goes stale, and a surviving participant must break it,
+ * Requeue-on-crash: a holder is SIGKILLed mid-cell. Its lease names a
+ * dead same-host pid, and a surviving participant must break it,
  * reclaim the cell, and complete the batch — with the requeue visible
  * in its queue stats.
  */
 TEST(SweepQueue, SigkilledHoldersCellsAreRequeuedAndCompleted)
 {
     const fs::path dir = scratchDir("requeue");
-    setenv("DICE_SWEEP_LEASE_STALE_S", "1", 1);
     constexpr std::size_t kCells = 4;
 
     // The victim claims one cell and then sleeps forever (its lease
@@ -317,7 +264,7 @@ TEST(SweepQueue, SigkilledHoldersCellsAreRequeuedAndCompleted)
     const pid_t victim = fork();
     ASSERT_GE(victim, 0);
     if (victim == 0) {
-        SweepQueue q(dir, cellsAscendingCost(kCells), 0, 1);
+        SweepQueue q(dir, cellsAscendingCost(kCells));
         (void)q.claimNext();
         for (;;)
             std::this_thread::sleep_for(std::chrono::seconds(10));
@@ -332,10 +279,11 @@ TEST(SweepQueue, SigkilledHoldersCellsAreRequeuedAndCompleted)
     int status = 0;
     ASSERT_EQ(waitpid(victim, &status, 0), victim);
 
-    // The survivor drains everything, breaking the stale lease. The
-    // pid probe sees the reaped victim as dead immediately; the mtime
-    // threshold (1 s) is the cross-host fallback bound.
-    SweepQueue survivor(dir, cellsAscendingCost(kCells), 0, 1);
+    // The survivor drains everything, breaking the dead holder's
+    // lease: the pid probe sees the reaped victim as dead at once (the
+    // lease's age bound is the cross-host fallback, and
+    // ClaimFile.ForeignHostClaimGoesStaleByAge covers it).
+    SweepQueue survivor(dir, cellsAscendingCost(kCells));
     std::size_t drained = 0;
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -353,41 +301,37 @@ TEST(SweepQueue, SigkilledHoldersCellsAreRequeuedAndCompleted)
     }
     EXPECT_EQ(drained, kCells);
     EXPECT_GE(survivor.stats().requeued, 1u);
-    unsetenv("DICE_SWEEP_LEASE_STALE_S");
     fs::remove_all(dir);
 }
 
 /**
  * A --join-style participant attaches while a batch is half drained
- * and the two finish it together; the joiner (no home shard) counts
- * every claim as stolen.
+ * and claims exactly the cells not yet published.
  */
-TEST(SweepQueue, JoinerAttachesMidBatchAndStealsRemainder)
+TEST(SweepQueue, JoinerAttachesMidBatchAndClaimsRemainder)
 {
     const fs::path dir = scratchDir("join");
     constexpr std::size_t kCells = 10;
 
-    SweepQueue owner(dir, cellsAscendingCost(kCells), 0, 1);
+    SweepQueue owner(dir, cellsAscendingCost(kCells));
     for (std::size_t i = 0; i < kCells / 2; ++i) {
         const std::optional<std::size_t> idx = owner.claimNext();
         ASSERT_TRUE(idx.has_value());
         owner.publish(*idx, "{}\n");
     }
 
-    SweepQueue joiner(dir, cellsAscendingCost(kCells), 0, 0);
+    SweepQueue joiner(dir, cellsAscendingCost(kCells));
     std::size_t joined = 0;
     while (const std::optional<std::size_t> idx = joiner.claimNext()) {
         ++joined;
         joiner.publish(*idx, "{}\n");
     }
     EXPECT_EQ(joined, kCells / 2);
-    EXPECT_EQ(joiner.stats().stolen, joined);
+    EXPECT_EQ(joiner.stats().claimed, joined);
     EXPECT_TRUE(joiner.complete());
     EXPECT_TRUE(owner.complete());
     fs::remove_all(dir);
 }
-
-#endif // !_WIN32
 
 } // namespace
 } // namespace dice

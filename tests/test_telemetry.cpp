@@ -18,9 +18,7 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 #include "common/log.hpp"
 #include "common/ring_trace.hpp"

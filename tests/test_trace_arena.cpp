@@ -16,9 +16,7 @@
 #include <string>
 #include <vector>
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 #include "common/sweep_events.hpp"
 #include "harness.hpp"
