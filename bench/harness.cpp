@@ -870,10 +870,14 @@ runCellsCoordinator(const std::vector<const SimCell *> &work,
                               i);
             }
         }
+        // With every worker reaped, their last documents may have
+        // landed inside the rescan throttle window: look again before
+        // reporting or draining a batch that is already complete.
+        const std::size_t done = q.doneCount(/*fresh=*/alive == 0);
         if (progress)
-            printSweepProgress(batch, q.doneCount(), work.size(),
-                               m.workers, alive, false);
-        if (q.complete())
+            printSweepProgress(batch, done, work.size(), m.workers, alive,
+                               false);
+        if (done == work.size())
             break;
         if (alive == 0) {
             // Every worker is gone (crashed, or never spawned): the

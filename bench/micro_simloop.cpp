@@ -23,6 +23,7 @@
 #include <cstring>
 #include <new>
 
+#include "common/page_alloc.hpp"
 #include "common/sweep_events.hpp"
 #include "core/tad.hpp"
 #include "harness.hpp"
@@ -30,6 +31,14 @@
 
 // Global heap-allocation counter (same scheme as micro_compress).
 static std::atomic<std::size_t> g_heap_allocs{0};
+
+/** Allocations so far: operator new calls plus page-mapped blocks. */
+static std::size_t
+allocationsSoFar()
+{
+    return g_heap_allocs.load(std::memory_order_relaxed) +
+           dice::pageBlocksHandedOut();
+}
 
 // GCC cannot see that the replaced operator new below is the matching
 // malloc-based allocator for these frees.
@@ -145,14 +154,13 @@ class AllocScope
 public:
     AllocScope(benchmark::State &state, double refs_per_iter)
         : state_(state), refs_per_iter_(refs_per_iter),
-          start_(g_heap_allocs.load(std::memory_order_relaxed))
+          start_(allocationsSoFar())
     {
     }
 
     ~AllocScope()
     {
-        const std::size_t n =
-            g_heap_allocs.load(std::memory_order_relaxed) - start_;
+        const std::size_t n = allocationsSoFar() - start_;
         state_.counters["heap_allocs_per_ref"] = benchmark::Counter(
             static_cast<double>(n) /
             (refs_per_iter_ *
@@ -311,12 +319,11 @@ std::size_t
 allocsForRun(const SystemConfig &cfg)
 {
     const auto profiles = workloadProfiles(kWorkload, cfg.num_cores);
-    const std::size_t start =
-        g_heap_allocs.load(std::memory_order_relaxed);
+    const std::size_t start = allocationsSoFar();
     System sys(cfg, profiles);
     dice::RunResult r = sys.run();
     benchmark::DoNotOptimize(&r);
-    return g_heap_allocs.load(std::memory_order_relaxed) - start;
+    return allocationsSoFar() - start;
 }
 
 /**

@@ -199,7 +199,7 @@ SweepQueue::publish(std::size_t idx, const std::string &doc)
 }
 
 std::size_t
-SweepQueue::doneCount()
+SweepQueue::doneCount(bool fresh)
 {
     std::lock_guard lock(mu_);
     if (done_ == cells_.size())
@@ -208,7 +208,7 @@ SweepQueue::doneCount()
     // every ~50 ms, and one exists() per pending cell per poll adds up
     // on large batches.
     const double now = monotonicSeconds();
-    if (last_scan_s_ >= 0.0 && now - last_scan_s_ < 0.2)
+    if (!fresh && last_scan_s_ >= 0.0 && now - last_scan_s_ < 0.2)
         return done_;
     last_scan_s_ = now;
     for (std::size_t i = 0; i < cells_.size(); ++i) {

@@ -135,9 +135,12 @@ class SweepQueue
      */
     void publish(std::size_t idx, const std::string &doc);
 
-    /** Cells of this batch with a published document (any publisher;
-     *  rescans the filesystem, throttled to a few times per second). */
-    std::size_t doneCount();
+    /**
+     * Cells of this batch with a published document (any publisher).
+     * Rescans the filesystem at most every 0.2 s, unless @p fresh:
+     * then it rescans now (a caller about to act on the count).
+     */
+    std::size_t doneCount(bool fresh = false);
 
     /** Whether every cell of the batch is published. */
     bool complete() { return doneCount() == cells_.size(); }

@@ -1,15 +1,19 @@
 #include "sram_cache.hpp"
 
+#include <bit>
+
 #include "common/bitops.hpp"
 #include "common/log.hpp"
 
 namespace dice
 {
 
-SramCache::SramCache(const SramCacheConfig &config) : config_(config)
+SramCache::SramCache(const SramCacheConfig &config)
+    : config_(config), ways_(config.ways)
 {
-    dice_assert(config.ways > 0, "cache %s with zero ways",
-                config.name.c_str());
+    dice_assert(config.ways > 0 && config.ways <= 64,
+                "cache %s: %u ways outside [1, 64]", config.name.c_str(),
+                config.ways);
     const std::uint64_t lines = config.size_bytes / kLineSize;
     dice_assert(lines % config.ways == 0,
                 "cache %s: %llu lines not divisible by %u ways",
@@ -18,52 +22,42 @@ SramCache::SramCache(const SramCacheConfig &config) : config_(config)
     num_sets_ = static_cast<std::uint32_t>(lines / config.ways);
     dice_assert(isPowerOfTwo(num_sets_), "cache %s: %u sets not 2^k",
                 config.name.c_str(), num_sets_);
-    ways_.resize(static_cast<std::size_t>(num_sets_) * config.ways);
+    set_bits_ = floorLog2(num_sets_);
+    const std::size_t slots = static_cast<std::size_t>(num_sets_) * ways_;
+    tags_.resize(slots);
+    lru_.resize(slots);
+    payloads_.resize(slots);
+    masks_.resize(num_sets_);
 }
 
 std::uint32_t
-SramCache::setOf(LineAddr line) const
-{
-    return static_cast<std::uint32_t>(line & (num_sets_ - 1));
-}
-
-std::uint64_t
-SramCache::tagOf(LineAddr line) const
-{
-    return line >> floorLog2(num_sets_);
-}
-
-SramCache::Way *
-SramCache::findWay(LineAddr line)
+SramCache::findWay(std::uint32_t set, LineAddr line) const
 {
     const std::uint64_t tag = tagOf(line);
-    Way *set = &ways_[static_cast<std::size_t>(setOf(line)) * config_.ways];
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
-        if (set[w].valid && set[w].tag == tag)
-            return &set[w];
+    const std::uint64_t *tags = &tags_[std::size_t{set} * ways_];
+    const std::uint64_t valid = masks_[set].valid;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+        if (tags[w] == tag && ((valid >> w) & 1) != 0)
+            return w;
     }
-    return nullptr;
-}
-
-const SramCache::Way *
-SramCache::findWay(LineAddr line) const
-{
-    return const_cast<SramCache *>(this)->findWay(line);
+    return ways_;
 }
 
 bool
 SramCache::access(LineAddr line, AccessType type, std::uint64_t payload)
 {
-    Way *way = findWay(line);
-    if (!way) {
+    const std::uint32_t set = setOf(line);
+    const std::uint32_t w = findWay(set, line);
+    if (w == ways_) {
         ++misses_;
         return false;
     }
     ++hits_;
-    way->lru = ++lru_clock_;
+    const std::size_t slot = std::size_t{set} * ways_ + w;
+    lru_[slot] = ++lru_clock_;
     if (type == AccessType::Write || type == AccessType::Writeback) {
-        way->dirty = true;
-        way->payload = payload;
+        masks_[set].dirty |= std::uint64_t{1} << w;
+        payloads_[slot] = payload;
     }
     return true;
 }
@@ -73,71 +67,78 @@ SramCache::install(LineAddr line, bool dirty, std::uint64_t payload)
 {
     ++installs_;
 
-    if (Way *way = findWay(line)) {
+    const std::uint32_t set = setOf(line);
+    const std::size_t base = std::size_t{set} * ways_;
+    SetMasks &m = masks_[set];
+    std::uint32_t w = findWay(set, line);
+    if (w != ways_) {
         // Refill of a resident line (e.g. upgrade): refresh in place.
-        way->lru = ++lru_clock_;
-        way->dirty = way->dirty || dirty;
-        way->payload = payload;
+        lru_[base + w] = ++lru_clock_;
+        if (dirty)
+            m.dirty |= std::uint64_t{1} << w;
+        payloads_[base + w] = payload;
         return std::nullopt;
     }
 
-    Way *set = &ways_[static_cast<std::size_t>(setOf(line)) * config_.ways];
-    Way *victim = &set[0];
-    for (std::uint32_t w = 0; w < config_.ways; ++w) {
-        if (!set[w].valid) {
-            victim = &set[w];
-            break;
-        }
-        if (set[w].lru < victim->lru)
-            victim = &set[w];
-    }
-
+    // Victim: the first invalid way, else the first way with the least
+    // LRU stamp. Valid bits sit only below ways_, so the set is full
+    // exactly when its first clear bit is at ways_ or above.
     std::optional<EvictedLine> evicted;
-    if (victim->valid) {
+    w = static_cast<std::uint32_t>(std::countr_one(m.valid));
+    if (w >= ways_) {
+        w = 0;
+        for (std::uint32_t v = 1; v < ways_; ++v) {
+            if (lru_[base + v] < lru_[base + w])
+                w = v;
+        }
+        const bool victim_dirty = ((m.dirty >> w) & 1) != 0;
         ++evictions_;
-        if (victim->dirty)
+        if (victim_dirty)
             ++dirty_evictions_;
-        const std::uint64_t set_idx =
-            static_cast<std::uint64_t>(setOf(line));
-        evicted = EvictedLine{
-            (victim->tag << floorLog2(num_sets_)) | set_idx,
-            victim->dirty, victim->payload};
+        evicted = EvictedLine{(tags_[base + w] << set_bits_) | set,
+                              victim_dirty, payloads_[base + w]};
     }
 
-    victim->tag = tagOf(line);
-    victim->payload = payload;
-    victim->lru = ++lru_clock_;
-    victim->valid = true;
-    victim->dirty = dirty;
+    const std::uint64_t bit = std::uint64_t{1} << w;
+    tags_[base + w] = tagOf(line);
+    payloads_[base + w] = payload;
+    lru_[base + w] = ++lru_clock_;
+    m.valid |= bit;
+    m.dirty = dirty ? (m.dirty | bit) : (m.dirty & ~bit);
     return evicted;
 }
 
 bool
 SramCache::contains(LineAddr line) const
 {
-    return findWay(line) != nullptr;
+    const std::uint32_t set = setOf(line);
+    return findWay(set, line) != ways_;
 }
 
 std::optional<std::uint64_t>
 SramCache::payloadOf(LineAddr line) const
 {
-    const Way *way = findWay(line);
-    if (!way)
+    const std::uint32_t set = setOf(line);
+    const std::uint32_t w = findWay(set, line);
+    if (w == ways_)
         return std::nullopt;
-    return way->payload;
+    return payloads_[std::size_t{set} * ways_ + w];
 }
 
 std::optional<EvictedLine>
 SramCache::invalidate(LineAddr line)
 {
-    Way *way = findWay(line);
-    if (!way)
+    const std::uint32_t set = setOf(line);
+    const std::uint32_t w = findWay(set, line);
+    if (w == ways_)
         return std::nullopt;
-    way->valid = false;
+    SetMasks &m = masks_[set];
+    const std::uint64_t bit = std::uint64_t{1} << w;
     std::optional<EvictedLine> out;
-    if (way->dirty)
-        out = EvictedLine{line, true, way->payload};
-    way->dirty = false;
+    if (m.dirty & bit)
+        out = EvictedLine{line, true, payloads_[std::size_t{set} * ways_ + w]};
+    m.valid &= ~bit;
+    m.dirty &= ~bit;
     return out;
 }
 
@@ -154,10 +155,8 @@ std::uint64_t
 SramCache::validLines() const
 {
     std::uint64_t n = 0;
-    for (const Way &w : ways_) {
-        if (w.valid)
-            ++n;
-    }
+    for (const SetMasks &m : masks_)
+        n += static_cast<std::uint64_t>(std::popcount(m.valid));
     return n;
 }
 

@@ -6,6 +6,11 @@
  * state and a 64-bit payload per line (the workload "data version", used
  * to check end-to-end value correctness), while latency is charged by
  * the system model. Write-back, write-allocate.
+ *
+ * Storage is planes: tags, LRU stamps and payloads each in one array
+ * (set-major, way-minor), and per-set valid and dirty bitmasks, so a
+ * probe of an 8-way set reads one cache line of tags and its set's
+ * masks instead of four lines of 32-B way records.
  */
 
 #ifndef DICE_CACHE_SRAM_CACHE_HPP
@@ -97,24 +102,32 @@ class SramCache
     StatGroup stats() const;
 
   private:
-    struct Way
+    /** Valid and dirty ways of one set (bit w = way w). */
+    struct SetMasks
     {
-        std::uint64_t tag = 0;
-        std::uint64_t payload = 0;
-        std::uint64_t lru = 0; // larger = more recently used
-        bool valid = false;
-        bool dirty = false;
+        std::uint64_t valid = 0;
+        std::uint64_t dirty = 0;
     };
 
-    std::uint32_t setOf(LineAddr line) const;
-    std::uint64_t tagOf(LineAddr line) const;
+    std::uint32_t
+    setOf(LineAddr line) const
+    {
+        return static_cast<std::uint32_t>(line & (num_sets_ - 1));
+    }
 
-    Way *findWay(LineAddr line);
-    const Way *findWay(LineAddr line) const;
+    std::uint64_t tagOf(LineAddr line) const { return line >> set_bits_; }
+
+    /** Way of @p line within set @p set, or ways when absent. */
+    std::uint32_t findWay(std::uint32_t set, LineAddr line) const;
 
     SramCacheConfig config_;
     std::uint32_t num_sets_;
-    std::vector<Way> ways_; // num_sets_ * config_.ways, row-major
+    std::uint32_t set_bits_;
+    std::uint32_t ways_;
+    std::vector<std::uint64_t> tags_; // num_sets_ * ways_, set-major
+    std::vector<std::uint64_t> lru_;  // larger = more recently used
+    std::vector<std::uint64_t> payloads_;
+    std::vector<SetMasks> masks_; // num_sets_
     std::uint64_t lru_clock_ = 0;
 
     std::uint64_t hits_ = 0;

@@ -7,6 +7,7 @@
 #ifndef DICE_COMMON_BITOPS_HPP
 #define DICE_COMMON_BITOPS_HPP
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 
@@ -24,10 +25,7 @@ isPowerOfTwo(std::uint64_t v)
 constexpr std::uint32_t
 floorLog2(std::uint64_t v)
 {
-    std::uint32_t l = 0;
-    while (v >>= 1)
-        ++l;
-    return l;
+    return static_cast<std::uint32_t>(std::bit_width(v)) - 1;
 }
 
 /** Ceiling of log2(v); v must be non-zero. */
@@ -117,6 +115,63 @@ fitsUnsigned(std::uint64_t v, std::uint32_t n_bits)
         return true;
     return v < (std::uint64_t{1} << n_bits);
 }
+
+/**
+ * Exact unsigned division by a run-time constant d in [1, 2^32).
+ *
+ * A power-of-two d is a shift and a mask. Otherwise a dividend below
+ * 2^32 takes its quotient and remainder from multiply-highs by the
+ * precomputed reciprocal M = ceil(2^64 / d) (Lemire, Kaser & Kurz,
+ * "Faster remainder by direct computation", 2019), which is exact for
+ * every 32-bit dividend and divisor; a wider dividend takes the
+ * hardware divide. Either way the results equal n / d and n % d.
+ */
+class Reciprocal
+{
+  public:
+    explicit constexpr Reciprocal(std::uint32_t d)
+        : d_(d), shift_(isPowerOfTwo(d) ? floorLog2(d) : kNotPow2),
+          m_(~std::uint64_t{0} / (d > 1 ? d : 2) + 1)
+    {
+        assert(d != 0);
+    }
+
+    constexpr std::uint32_t divisor() const { return d_; }
+
+    /** Quotient and remainder of one division. */
+    struct QuotRem
+    {
+        std::uint64_t quot;
+        std::uint32_t rem;
+    };
+
+    constexpr QuotRem
+    divmod(std::uint64_t n) const
+    {
+        if (shift_ != kNotPow2)
+            return {n >> shift_, static_cast<std::uint32_t>(n & (d_ - 1))};
+        if ((n >> 32) == 0) {
+            const std::uint64_t low = m_ * n;
+            return {mulHigh(m_, n),
+                    static_cast<std::uint32_t>(mulHigh(low, d_))};
+        }
+        return {n / d_, static_cast<std::uint32_t>(n % d_)};
+    }
+
+  private:
+    static constexpr std::uint32_t kNotPow2 = 64;
+
+    static constexpr std::uint64_t
+    mulHigh(std::uint64_t a, std::uint64_t b)
+    {
+        return static_cast<std::uint64_t>(
+            (static_cast<unsigned __int128>(a) * b) >> 64);
+    }
+
+    std::uint32_t d_;
+    std::uint32_t shift_;
+    std::uint64_t m_;
+};
 
 } // namespace dice
 

@@ -72,9 +72,9 @@ class HybridCodec : public Codec
 
     /**
      * Same, with the lines' independent compressed sizes supplied by
-     * a caller that already knows them (e.g. from a memo) — the joint
-     * pass then only evaluates the shared-base pair modes instead of
-     * re-running both single-line codecs.
+     * a caller that already knows them (e.g. from the resident item's
+     * size) — the joint pass then only evaluates the shared-base pair
+     * modes instead of re-running both single-line codecs.
      */
     std::uint32_t pairSizeBytes(const Line &a, const Line &b,
                                 std::uint32_t a_bytes,

@@ -47,7 +47,7 @@ class AlloyCache : public DramCache
     };
 
     SetIndexer indexer_;
-    DramCacheAddressMapper mapper_;
+    DramAddressMapper mapper_;
     /** Dense direct-mapped array indexed by set: one resident TAD. */
     std::vector<Entry> sets_;
     std::uint64_t valid_count_ = 0;

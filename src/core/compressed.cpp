@@ -5,7 +5,6 @@
 #include "common/bitops.hpp"
 #include "common/knobs.hpp"
 #include "common/log.hpp"
-#include "common/rng.hpp"
 #include "common/telemetry.hpp"
 
 namespace dice
@@ -113,86 +112,26 @@ CompressedDramCache::installScheme(LineAddr line, std::uint32_t size,
 }
 
 std::uint32_t
-CompressedDramCache::sizeOf(LineAddr line, std::uint64_t payload) const
+CompressedDramCache::pairSize(LineAddr line, const Line &line_bytes,
+                              std::uint32_t line_size,
+                              const TadLookup &nb) const
 {
-    // The memo is per cache instance, and a cache instance belongs to
-    // exactly one System: concurrent Systems (the parallel bench
-    // engine) each mutate their own memo, so no locking is needed.
-    // It is also bounded (collisions recompute, never grow) and the
-    // size-only codec route below performs no heap allocation, so the
-    // whole lookup path is allocation-free.
-    const std::uint64_t key = mix64(line, payload);
-    if (const std::uint32_t *hit = size_cache_.find(key))
-        return *hit;
-    const std::uint32_t size =
-        codec_.compressedSizeBytes(source_.bytes(line, payload));
-    size_cache_.put(key, size);
-    return size;
-}
-
-std::uint32_t
-CompressedDramCache::pairSizeOf(LineAddr base, std::uint64_t even_payload,
-                                std::uint64_t odd_payload) const
-{
-    const std::uint64_t key =
-        mix64(mix64(base, even_payload), odd_payload);
-    if (const std::uint32_t *hit = pair_size_cache_.find(key))
-        return *hit;
-
-    // The single-line sizes usually sit in the size memo (the line
-    // being installed was just sized; its neighbor was sized when it
-    // arrived), so the joint pass only pays for the pair modes — and
-    // when the independent sizes already beat every shared-base mode
-    // (the smallest is B8D1's 24 B), the lines need not even be
-    // synthesized. When they must be, each half is synthesized at most
-    // once, shared between its memo-missed single sizing and the joint
-    // pass; a pair neither sizing touched comes from one bytesPair
-    // call so the source derives their common state once.
-    Line lines[2];
-    std::uint32_t have = 0; // bit h set: lines[h] synthesized
-    const std::uint64_t payloads[2] = {even_payload, odd_payload};
-    auto lineOf = [&](std::uint32_t h) -> const Line & {
-        if (!(have & (1u << h))) {
-            lines[h] = source_.bytes(base | h, payloads[h]);
-            have |= 1u << h;
-        }
-        return lines[h];
-    };
-    const std::uint64_t half_keys[2] = {mix64(base, even_payload),
-                                        mix64(base | 1, odd_payload)};
-    std::uint32_t half_bytes[2];
-    std::uint32_t missed = 0; // bit h set: size memo missed half h
-    for (std::uint32_t h = 0; h < 2; ++h) {
-        if (const std::uint32_t *hit = size_cache_.find(half_keys[h]))
-            half_bytes[h] = *hit;
-        else
-            missed |= 1u << h;
+    // The neighbor's single size is its resident item's size. When the
+    // independent sizes already beat every shared-base mode (the
+    // smallest is B8D1's 24 B) the joint pass cannot win, so only then
+    // is the neighbor synthesized.
+    dice_assert(!nb.in_pair, "neighbor still paired with the new line");
+    const std::uint32_t independent = line_size + nb.data_bytes;
+    if (independent <= 24)
+        return independent;
+    const Line nb_bytes =
+        source_.bytes(SetIndexer::spatialNeighbor(line), nb.payload);
+    if ((line & 1) == 0) {
+        return codec_.pairSizeBytes(line_bytes, nb_bytes, line_size,
+                                    nb.data_bytes);
     }
-    if (missed == 3) {
-        // Both halves miss: derive them together.
-        source_.bytesPair(base, even_payload, odd_payload, lines);
-        have = 3;
-    }
-    for (std::uint32_t h = 0; h < 2; ++h) {
-        if (!(missed & (1u << h)))
-            continue;
-        half_bytes[h] = codec_.compressedSizeBytes(lineOf(h));
-        size_cache_.put(half_keys[h], half_bytes[h]);
-    }
-
-    const std::uint32_t even_bytes = half_bytes[0];
-    const std::uint32_t odd_bytes = half_bytes[1];
-    std::uint32_t size = even_bytes + odd_bytes;
-    if (size > 24) {
-        if (have == 0) {
-            source_.bytesPair(base, even_payload, odd_payload, lines);
-            have = 3;
-        }
-        size = codec_.pairSizeBytes(lineOf(0), lineOf(1), even_bytes,
-                                    odd_bytes);
-    }
-    pair_size_cache_.put(key, size);
-    return size;
+    return codec_.pairSizeBytes(nb_bytes, line_bytes, nb.data_bytes,
+                                line_size);
 }
 
 L4ReadResult
@@ -281,12 +220,6 @@ CompressedDramCache::read(LineAddr line, Cycle now)
 }
 
 void
-CompressedDramCache::removeResident(TadSet &set, LineAddr line)
-{
-    removeResident(set, line, set.lookup(line));
-}
-
-void
 CompressedDramCache::removeResident(TadSet &set, LineAddr line,
                                     const TadLookup &lk)
 {
@@ -297,7 +230,8 @@ CompressedDramCache::removeResident(TadSet &set, LineAddr line,
         // reported the survivor's payload.
         dice_assert(lk.neighbor_present, "pair without its other half");
         const LineAddr neighbor = SetIndexer::spatialNeighbor(line);
-        survivor_bytes = sizeOf(neighbor, lk.neighbor_payload);
+        survivor_bytes = codec_.compressedSizeBytes(
+            source_.bytes(neighbor, lk.neighbor_payload));
     }
     set.removeAt(lk.item, line, survivor_bytes);
 }
@@ -308,7 +242,10 @@ CompressedDramCache::install(LineAddr line, std::uint64_t payload,
 {
     ++installs_;
 
-    const std::uint32_t size = sizeOf(line, payload);
+    // The line is synthesized and sized once; the pair pass below
+    // reuses both.
+    const Line bytes = source_.bytes(line, payload);
+    const std::uint32_t size = codec_.compressedSizeBytes(bytes);
     bool invariant = false;
     const IndexScheme scheme = installScheme(line, size, invariant);
     const std::uint64_t target = indexer_.set(line, scheme);
@@ -395,14 +332,14 @@ CompressedDramCache::install(LineAddr line, std::uint64_t payload,
         removeResident(set, line, target_lk);
 
     // Try to merge with the spatial neighbor into a shared-tag pair.
+    // Its pair partner is the line itself, removed above, so it is a
+    // single.
     const LineAddr neighbor = SetIndexer::spatialNeighbor(line);
     const TadLookup nb = set.lookup(neighbor);
     bool inserted = false;
     if (nb.found && cfg_.pair_compression) {
         const LineAddr base = SetIndexer::pairBase(line);
-        const std::uint32_t pair_bytes = pairSizeOf(
-            base, (line & 1) == 0 ? payload : nb.payload,
-            (line & 1) == 1 ? payload : nb.payload);
+        const std::uint32_t pair_bytes = pairSize(line, bytes, size, nb);
         if (kTadTagBytes + pair_bytes <= kTadSetBytes) { // pair fits a TAD
             removeResident(set, neighbor, nb);
             while (!set.fits(pair_bytes, 2)) {

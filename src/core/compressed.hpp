@@ -19,9 +19,7 @@
 #ifndef DICE_CORE_COMPRESSED_HPP
 #define DICE_CORE_COMPRESSED_HPP
 
-#include <vector>
-
-#include "common/flat_map.hpp"
+#include "common/page_alloc.hpp"
 #include "common/ring_trace.hpp"
 #include "compress/hybrid.hpp"
 #include "core/cip.hpp"
@@ -111,17 +109,6 @@ class CompressedDramCache : public DramCache
     /** Bytes of compressed payload + tags currently resident. */
     std::uint64_t bytesUsed() const override;
 
-    /**
-     * Combined storage footprint of the compressed-size memos
-     * (constant for the cache's lifetime — both are bounded, see
-     * BoundedMemo).
-     */
-    std::size_t sizeMemoCapacityBytes() const
-    {
-        return size_cache_.capacityBytes() +
-               pair_size_cache_.capacityBytes();
-    }
-
     void resetStats() override;
 
     StatGroup stats() const override;
@@ -155,23 +142,20 @@ class CompressedDramCache : public DramCache
     IndexScheme installScheme(LineAddr line, std::uint32_t size,
                               bool &invariant) const;
 
-    /** Compressed size (bytes) of the current data of @p line. */
-    std::uint32_t sizeOf(LineAddr line, std::uint64_t payload) const;
-
-    /** Compressed size (bytes) of the joint pair (base, base|1). */
-    std::uint32_t pairSizeOf(LineAddr base, std::uint64_t even_payload,
-                             std::uint64_t odd_payload) const;
-
     /**
-     * Remove @p line from @p set, recomputing the surviving half's
-     * single-line size when the line was in a pair.
+     * Compressed size (bytes) of the pair @p line (bytes @p line_bytes,
+     * single size @p line_size) forms with its resident single
+     * neighbor @p nb. Synthesizes the neighbor only when the joint
+     * pass runs.
      */
-    void removeResident(TadSet &set, LineAddr line);
+    std::uint32_t pairSize(LineAddr line, const Line &line_bytes,
+                           std::uint32_t line_size,
+                           const TadLookup &nb) const;
 
     /**
-     * removeResident() with @p line's lookup in @p set already in hand
-     * (and still valid — no mutation of @p set since): skips the
-     * re-scan install's membership probes already paid for.
+     * Remove @p line from @p set given its lookup @p lk (still valid:
+     * no mutation of @p set since), re-sizing the surviving half when
+     * the line was in a pair.
      */
     void removeResident(TadSet &set, LineAddr line, const TadLookup &lk);
 
@@ -179,34 +163,13 @@ class CompressedDramCache : public DramCache
 
     CompressedCacheConfig cfg_;
     SetIndexer indexer_;
-    DramCacheAddressMapper mapper_;
+    DramAddressMapper mapper_;
     const LineDataSource &source_;
     HybridCodec codec_;
     Cip cip_;
 
     /** Dense per-set state, directly indexed by set number. */
-    std::vector<TadSet> sets_;
-    /**
-     * Memoized compressed sizes keyed by mix64(line, version) (already
-     * mixed, hence PreHashed). Bounded and generation-versioned: a
-     * collision recomputes instead of growing, so the memo's footprint
-     * stays flat over arbitrarily long runs (it used to be an unbounded
-     * map that never evicted). Sizing note: with the allocation-free
-     * size-only codecs, a recompute (synthesize + size) costs about as
-     * much as a DRAM-latency probe miss, so a huge memo no longer pays —
-     * 2^14 buckets x 4 ways (1 MiB) keeps probes near-cache while
-     * still absorbing the hot working set.
-     */
-    mutable BoundedMemo<std::uint64_t, std::uint32_t, true> size_cache_{
-        14};
-    /**
-     * Same idea for joint pair sizes, keyed by a mix64 chain over
-     * (pair base, even version, odd version). Without it every install
-     * next to a resident neighbor re-synthesizes both lines and runs
-     * the joint codec again.
-     */
-    mutable BoundedMemo<std::uint64_t, std::uint32_t, true>
-        pair_size_cache_{12};
+    PageVector<TadSet> sets_;
     std::uint64_t lru_clock_ = 0;
     /** Resident logical lines, maintained across install's mutations. */
     std::uint64_t valid_lines_ = 0;

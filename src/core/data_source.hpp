@@ -29,9 +29,11 @@ class LineDataSource
 
     /**
      * Bytes of the spatial pair (@p base, @p base|1) in one call;
-     * @p base must be even. Always identical to two bytes() calls —
-     * sources whose pair halves share derivation work may override
-     * this to do that work once (the pair-sizing path's batch entry).
+     * @p base must be even. Always identical to two bytes() calls. No
+     * cache calls it (each install synthesizes its own line, and the
+     * pair pass only the neighbor); it stays only because the
+     * benchmark's forwarding source (perfbench/traced.cpp) overrides
+     * it, and goes with that override.
      */
     virtual void
     bytesPair(LineAddr base, std::uint64_t even_version,

@@ -35,23 +35,4 @@ SetIndexer::set(LineAddr line, IndexScheme scheme) const
     }
 }
 
-DramCacheAddressMapper::DramCacheAddressMapper(const DramTiming &timing,
-                                               std::uint32_t tad_bytes)
-    : channels_(timing.channels), banks_(timing.banks_per_channel),
-      tads_per_row_(timing.row_bytes / tad_bytes)
-{
-    dice_assert(tads_per_row_ > 0, "row smaller than one TAD");
-}
-
-DramCoord
-DramCacheAddressMapper::coord(std::uint64_t set) const
-{
-    const std::uint64_t row_group = set / tads_per_row_;
-    DramCoord c;
-    c.channel = static_cast<std::uint32_t>(row_group % channels_);
-    c.bank = static_cast<std::uint32_t>((row_group / channels_) % banks_);
-    c.row = row_group / (static_cast<std::uint64_t>(channels_) * banks_);
-    return c;
-}
-
 } // namespace dice

@@ -22,8 +22,6 @@
 
 #include "common/bitops.hpp"
 #include "common/types.hpp"
-#include "dram/dram.hpp"
-#include "dram/timing.hpp"
 
 namespace dice
 {
@@ -113,31 +111,6 @@ class SetIndexer
 
   private:
     std::uint32_t set_bits_;
-};
-
-/**
- * Maps a DRAM-cache set index to device coordinates. Consecutive sets
- * are packed into the same row (28 x 72-B TADs per 2-KB row, Figure 2),
- * then row-groups are striped across channels and banks. Packing
- * neighbors into one row is what makes the BAI/TSI second probe a
- * row-buffer hit.
- */
-class DramCacheAddressMapper
-{
-  public:
-    DramCacheAddressMapper(const DramTiming &timing,
-                           std::uint32_t tad_bytes = 72);
-
-    /** TADs that fit in one row. */
-    std::uint32_t tadsPerRow() const { return tads_per_row_; }
-
-    /** Decode @p set into channel/bank/row coordinates. */
-    DramCoord coord(std::uint64_t set) const;
-
-  private:
-    std::uint32_t channels_;
-    std::uint32_t banks_;
-    std::uint32_t tads_per_row_;
 };
 
 } // namespace dice

@@ -22,8 +22,7 @@
 #ifndef DICE_CORE_SCC_HPP
 #define DICE_CORE_SCC_HPP
 
-#include <vector>
-
+#include "common/page_alloc.hpp"
 #include "compress/hybrid.hpp"
 #include "core/data_source.hpp"
 #include "core/dram_cache.hpp"
@@ -59,11 +58,11 @@ class SccCache : public DramCache
                     bool demand);
 
     std::uint64_t num_sets_;
-    DramCacheAddressMapper mapper_;
+    DramAddressMapper mapper_;
     const LineDataSource &source_;
     HybridCodec codec_;
     /** Dense per-set state, directly indexed by set number. */
-    std::vector<TadSet> sets_;
+    PageVector<TadSet> sets_;
     std::uint64_t lru_clock_ = 0;
     /** Resident logical lines, maintained across install's mutations. */
     std::uint64_t valid_lines_ = 0;

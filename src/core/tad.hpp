@@ -60,6 +60,11 @@ struct TadLookup
     /** True when the line lives inside a shared-tag pair item. */
     bool in_pair = false;
     std::uint64_t payload = 0;
+    /**
+     * Payload bytes of the holding item: the line's compressed size
+     * when it is a single, the joint size when it is in a pair.
+     */
+    std::uint32_t data_bytes = 0;
     /** True when the spatial neighbor (line^1) is also in this set. */
     bool neighbor_present = false;
     std::uint64_t neighbor_payload = 0;
@@ -182,6 +187,7 @@ class TadSet
         res.bai = (f & kBai) != 0;
         res.in_pair = (f & kPair) != 0;
         res.payload = payloads()[it].p[slot];
+        res.data_bytes = dataBytes()[it];
 
         if (nb != n) {
             const std::uint8_t nf = flags()[nb];

@@ -46,18 +46,6 @@ ToucheCache::aliased(const TadSet &set, LineAddr line) const
     return false;
 }
 
-std::uint32_t
-ToucheCache::sizeOf(LineAddr line, std::uint64_t payload) const
-{
-    const std::uint64_t key = mix64(line, payload);
-    if (const std::uint32_t *hit = size_cache_.find(key))
-        return *hit;
-    const std::uint32_t size =
-        codec_.compressedSizeBytes(source_.bytes(line, payload));
-    size_cache_.put(key, size);
-    return size;
-}
-
 L4ReadResult
 ToucheCache::read(LineAddr line, Cycle now)
 {
@@ -126,7 +114,8 @@ ToucheCache::install(LineAddr line, std::uint64_t payload, bool dirty,
     }
 
     const std::uint32_t lines_before = set.lineCount();
-    const std::uint32_t size = sizeOf(line, payload);
+    const std::uint32_t size =
+        codec_.compressedSizeBytes(source_.bytes(line, payload));
 
     if (set.contains(line))
         set.remove(line, 0);

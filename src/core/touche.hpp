@@ -29,9 +29,7 @@
 #ifndef DICE_CORE_TOUCHE_HPP
 #define DICE_CORE_TOUCHE_HPP
 
-#include <vector>
-
-#include "common/flat_map.hpp"
+#include "common/page_alloc.hpp"
 #include "compress/hybrid.hpp"
 #include "core/data_source.hpp"
 #include "core/dram_cache.hpp"
@@ -80,20 +78,15 @@ class ToucheCache : public DramCache
      */
     bool aliased(const TadSet &set, LineAddr line) const;
 
-    /** Compressed size (bytes) of the current data of @p line. */
-    std::uint32_t sizeOf(LineAddr line, std::uint64_t payload) const;
-
     ToucheL4Params params_;
     SetIndexer indexer_;
-    DramCacheAddressMapper mapper_;
+    DramAddressMapper mapper_;
     const LineDataSource &source_;
     HybridCodec codec_;
     std::uint32_t sig_mask_;
 
     /** Dense per-set state, directly indexed by TSI set number. */
-    std::vector<TadSet> sets_;
-    mutable BoundedMemo<std::uint64_t, std::uint32_t, true> size_cache_{
-        14};
+    PageVector<TadSet> sets_;
     std::uint64_t lru_clock_ = 0;
     /** Resident logical lines, maintained across install's mutations. */
     std::uint64_t valid_lines_ = 0;

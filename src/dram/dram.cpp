@@ -7,6 +7,14 @@
 namespace dice
 {
 
+DramAddressMapper::DramAddressMapper(const DramTiming &timing,
+                                     std::uint32_t unit_bytes)
+    : per_row_(timing.row_bytes / unit_bytes), channels_(timing.channels),
+      banks_(timing.banks_per_channel)
+{
+    dice_assert(timing.row_bytes >= unit_bytes, "row smaller than one unit");
+}
+
 DramDevice::DramDevice(std::string name, const DramTiming &timing)
     : name_(std::move(name)), timing_(timing),
       banks_(timing.channels * timing.banks_per_channel),

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bitops.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "dram/timing.hpp"
@@ -30,6 +31,39 @@ struct DramCoord
     std::uint32_t channel = 0;
     std::uint32_t bank = 0;
     std::uint64_t row = 0;
+};
+
+/**
+ * Decodes a unit index into device coordinates: consecutive units pack
+ * one row, then row groups stripe across channels, then banks. The
+ * L4's unit is a 72-B TAD set (28 per 2-KB row, Figure 2: packing
+ * neighbors into one row is what makes the BAI/TSI second probe a
+ * row-buffer hit); main memory's is a 64-B line. Every divide is a
+ * Reciprocal, since the decode runs on every device access.
+ */
+class DramAddressMapper
+{
+  public:
+    DramAddressMapper(const DramTiming &timing,
+                      std::uint32_t unit_bytes = 72);
+
+    /** Units that fit in one row. */
+    std::uint32_t unitsPerRow() const { return per_row_.divisor(); }
+
+    /** Decode @p unit into channel/bank/row coordinates. */
+    DramCoord
+    coord(std::uint64_t unit) const
+    {
+        const std::uint64_t row_group = per_row_.divmod(unit).quot;
+        const Reciprocal::QuotRem by_channel = channels_.divmod(row_group);
+        const Reciprocal::QuotRem by_bank = banks_.divmod(by_channel.quot);
+        return DramCoord{by_channel.rem, by_bank.rem, by_bank.quot};
+    }
+
+  private:
+    Reciprocal per_row_;
+    Reciprocal channels_;
+    Reciprocal banks_;
 };
 
 /** How an access interacts with the channel's scheduling. */

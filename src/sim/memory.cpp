@@ -4,41 +4,28 @@ namespace dice
 {
 
 MainMemory::MainMemory(const DramTiming &timing)
-    : device_("mem", timing), lines_per_row_(timing.row_bytes / kLineSize),
+    : device_("mem", timing), mapper_(timing, kLineSize),
       versions_(/*expected_keys=*/1 << 16)
 {
-}
-
-DramCoord
-MainMemory::coordOf(LineAddr line) const
-{
-    const DramTiming &t = device_.timing();
-    const std::uint64_t row_group = line / lines_per_row_;
-    DramCoord c;
-    c.channel = static_cast<std::uint32_t>(row_group % t.channels);
-    c.bank = static_cast<std::uint32_t>(
-        (row_group / t.channels) % t.banks_per_channel);
-    c.row = row_group /
-            (static_cast<std::uint64_t>(t.channels) * t.banks_per_channel);
-    return c;
 }
 
 DramResult
 MainMemory::read(LineAddr line, Cycle now)
 {
-    return device_.access(coordOf(line), kLineSize, now, false);
+    return device_.access(mapper_.coord(line), kLineSize, now, false);
 }
 
 void
 MainMemory::fetch(LineAddr line, Cycle now)
 {
-    device_.access(coordOf(line), kLineSize, now, AccessKind::PostedRead);
+    device_.access(mapper_.coord(line), kLineSize, now,
+                   AccessKind::PostedRead);
 }
 
 void
 MainMemory::write(LineAddr line, std::uint64_t version, Cycle now)
 {
-    device_.access(coordOf(line), kLineSize, now, true);
+    device_.access(mapper_.coord(line), kLineSize, now, true);
     versions_[line] = version;
 }
 

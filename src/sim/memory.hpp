@@ -9,6 +9,7 @@
 #define DICE_SIM_MEMORY_HPP
 
 #include "common/flat_map.hpp"
+#include "common/page_alloc.hpp"
 #include "common/types.hpp"
 #include "dram/dram.hpp"
 #include "dram/timing.hpp"
@@ -45,12 +46,11 @@ class MainMemory
     const DramDevice &device() const { return device_; }
 
   private:
-    DramCoord coordOf(LineAddr line) const;
-
     DramDevice device_;
-    std::uint32_t lines_per_row_;
+    /** The L4's decode over 64-B lines instead of 72-B TADs. */
+    DramAddressMapper mapper_;
     /** Open-addressed line -> version store (hot on every writeback). */
-    FlatMap<LineAddr, std::uint64_t> versions_;
+    FlatMap<LineAddr, std::uint64_t, Mix64Hash, PageAllocator> versions_;
 };
 
 } // namespace dice

@@ -262,30 +262,34 @@ void
 System::runPhase(std::uint64_t target_refs)
 {
     // Event-ordered interleaving: always advance the core whose next
-    // reference issues earliest (estimated from its local clock).
+    // reference issues earliest (estimated from its local clock; ties
+    // go to the lowest id). A step changes only the stepped core's
+    // clock and pending reference, so only its estimate is recomputed;
+    // a finished core's estimate is the never-chosen ~0.
+    constexpr Cycle kDone = ~Cycle{0};
     std::uint64_t remaining = 0;
-    for (const CoreState &cs : cores_) {
-        remaining +=
-            target_refs > cs.refs_done ? target_refs - cs.refs_done : 0;
+    std::vector<Cycle> est(cfg_.num_cores, kDone);
+    for (std::uint32_t cid = 0; cid < cfg_.num_cores; ++cid) {
+        const CoreState &cs = cores_[cid];
+        if (cs.refs_done >= target_refs)
+            continue;
+        remaining += target_refs - cs.refs_done;
+        est[cid] = cs.core.estimateNextIssue(cs.pending.gap_instr);
     }
 
     while (remaining > 0) {
-        std::uint32_t best = cfg_.num_cores;
-        Cycle best_time = ~Cycle{0};
-        for (std::uint32_t cid = 0; cid < cfg_.num_cores; ++cid) {
-            const CoreState &cs = cores_[cid];
-            if (cs.refs_done >= target_refs)
-                continue;
-            const Cycle est =
-                cs.core.estimateNextIssue(cs.pending.gap_instr);
-            if (est < best_time) {
-                best_time = est;
+        std::uint32_t best = 0;
+        for (std::uint32_t cid = 1; cid < cfg_.num_cores; ++cid) {
+            if (est[cid] < est[best])
                 best = cid;
-            }
         }
-        dice_assert(best < cfg_.num_cores, "no runnable core");
+        dice_assert(est[best] != kDone, "no runnable core");
         step(best);
         --remaining;
+        const CoreState &cs = cores_[best];
+        est[best] = cs.refs_done >= target_refs
+                         ? kDone
+                         : cs.core.estimateNextIssue(cs.pending.gap_instr);
     }
 }
 

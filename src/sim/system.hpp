@@ -20,6 +20,7 @@
 
 #include "cache/sram_cache.hpp"
 #include "common/flat_map.hpp"
+#include "common/page_alloc.hpp"
 #include "common/telemetry.hpp"
 #include "core/dram_cache.hpp"
 #include "core/l4_registry.hpp"
@@ -222,7 +223,8 @@ class System
     MapI mapi_;
 
     /** Open-addressed line -> store count (hot on every write ref). */
-    FlatMap<LineAddr, std::uint64_t> write_counts_;
+    FlatMap<LineAddr, std::uint64_t, Mix64Hash, PageAllocator>
+        write_counts_;
     std::uint64_t refs_total_ = 0;
     double miss_latency_sum_ = 0.0;
     std::uint64_t miss_latency_count_ = 0;

@@ -211,27 +211,4 @@ DataGenerator::bytes(LineAddr line, std::uint64_t version) const
     return synthesize(lineClass(line), line, version);
 }
 
-void
-DataGenerator::bytesPair(LineAddr base, std::uint64_t even_version,
-                         std::uint64_t odd_version, Line out[2]) const
-{
-    dice_assert((base & 1) == 0, "pair base must be even");
-    // The halves share their noise draw (pair-granular) and their page,
-    // and region starts are page-aligned (and hence even), so they
-    // classify identically unless the pair straddles a region's
-    // possibly mid-page *end* — then the odd half falls back to its
-    // own classification.
-    const Region *r = regionOf(base);
-    const double u =
-        static_cast<double>(mix64(base >> 1, 0x0D15Eull) >> 11) *
-        0x1.0p-53;
-    const CompClass cls =
-        u < kNoiseFraction ? CompClass::Rand : regionClass(r, base);
-    out[0] = synthesize(cls, base, even_version);
-    if (!r || (base | 1) < r->end)
-        out[1] = synthesize(cls, base | 1, odd_version);
-    else
-        out[1] = bytes(base | 1, odd_version);
-}
-
 } // namespace dice

@@ -60,13 +60,6 @@ class DataGenerator : public LineDataSource
 
     Line bytes(LineAddr line, std::uint64_t version) const override;
 
-    /**
-     * Pair halves share their noise draw (pair-granular) and page, so
-     * one classification serves both syntheses.
-     */
-    void bytesPair(LineAddr base, std::uint64_t even_version,
-                   std::uint64_t odd_version, Line out[2]) const override;
-
     /** Synthesize a line of class @p cls directly (used by tests). */
     static Line synthesize(CompClass cls, LineAddr line,
                            std::uint64_t version);

@@ -89,6 +89,7 @@ class RefTadSet
         res.bai = item.bai;
         res.in_pair = item.pair;
         res.payload = item.payload[slot];
+        res.data_bytes = item.data_bytes;
         const std::size_t nb = holderOf(line ^ 1);
         if (nb != items_.size()) {
             const Item &nitem = items_[nb];
@@ -285,6 +286,7 @@ expectSameLookup(const TadLookup &a, const TadLookup &b, LineAddr line)
     EXPECT_EQ(a.bai, b.bai) << "line " << line;
     EXPECT_EQ(a.in_pair, b.in_pair) << "line " << line;
     EXPECT_EQ(a.payload, b.payload) << "line " << line;
+    EXPECT_EQ(a.data_bytes, b.data_bytes) << "line " << line;
     EXPECT_EQ(a.neighbor_present, b.neighbor_present) << "line " << line;
     EXPECT_EQ(a.neighbor_payload, b.neighbor_payload) << "line " << line;
     EXPECT_EQ(a.item, b.item) << "line " << line;

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/bitops.hpp"
+#include "common/rng.hpp"
 
 namespace dice
 {
@@ -31,6 +34,40 @@ TEST(Bitops, FloorLog2)
     EXPECT_EQ(floorLog2(1023), 9u);
     EXPECT_EQ(floorLog2(1024), 10u);
     EXPECT_EQ(floorLog2(~0ull), 63u);
+}
+
+TEST(Bitops, FloorLog2MatchesTheShiftLoopAtEveryBit)
+{
+    for (std::uint32_t b = 0; b < 64; ++b) {
+        const std::uint64_t p = std::uint64_t{1} << b;
+        EXPECT_EQ(floorLog2(p), b);
+        EXPECT_EQ(floorLog2(p | (p >> 1)), b);
+        EXPECT_EQ(floorLog2(p + (p - 1)), b);
+    }
+}
+
+TEST(Bitops, ReciprocalQuotientAndRemainderAreExact)
+{
+    const std::uint32_t divisors[] = {1,  2,  3,  4,           7,
+                                      16, 28, 32, 0x7FFFFFFFu, 0xFFFFFFFFu};
+    Rng rng(0xD1CEull);
+    for (const std::uint32_t d : divisors) {
+        const Reciprocal r(d);
+        EXPECT_EQ(r.divisor(), d);
+        std::vector<std::uint64_t> dividends = {
+            0, d - 1ull, d, 0xFFFFFFFFull, 1ull << 32, ~0ull};
+        for (int i = 0; i < 20000; ++i) {
+            const std::uint64_t v = rng.next();
+            dividends.push_back(v);
+            dividends.push_back(v >> 32); // the multiply-high range
+            dividends.push_back(v >> (v & 63));
+        }
+        for (const std::uint64_t n : dividends) {
+            const Reciprocal::QuotRem qr = r.divmod(n);
+            ASSERT_EQ(qr.quot, n / d) << n << " / " << d;
+            ASSERT_EQ(qr.rem, n % d) << n << " % " << d;
+        }
+    }
 }
 
 TEST(Bitops, CeilLog2)

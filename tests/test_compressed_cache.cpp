@@ -401,27 +401,62 @@ TEST_P(CompressedPolicy, LineNeverResidentInTwoSets)
     EXPECT_EQ(found, l4.validLines());
 }
 
-TEST(CompressedCache, SizeMemoFootprintFlatOverLongRuns)
+/**
+ * Counts bytes() calls. A version of kRandVersion or more synthesizes
+ * an incompressible line; anything below is a small-integer line.
+ */
+class CountingSource : public LineDataSource
 {
-    // Regression test for the unbounded size-cache growth the memo
-    // replaced: every (line, version) pair is a fresh memo key, so a
-    // run with 10x the references must leave the memo footprint — the
-    // only storage that scales with distinct keys — exactly constant.
-    FixedClassSource src(CompClass::C36);
+  public:
+    static constexpr std::uint64_t kRandVersion = 1000;
+
+    Line
+    bytes(LineAddr line, std::uint64_t version) const override
+    {
+        ++calls;
+        return DataGenerator::synthesize(version >= kRandVersion
+                                             ? CompClass::Rand
+                                             : CompClass::Int,
+                                         line, version);
+    }
+
+    mutable std::uint64_t calls = 0;
+};
+
+TEST(CompressedCache, EachInstallSynthesizesItsLineOnce)
+{
+    CountingSource src;
     CompressedDramCache l4(smallConfig(CompressionPolicy::Dice), src);
-    const std::size_t footprint = l4.sizeMemoCapacityBytes();
-    ASSERT_GT(footprint, 0u);
+    // A non-invariant even line: its Int (20-B) data goes BAI, where
+    // its odd neighbor lands too.
+    LineAddr line = 2;
+    while (l4.indexer().baiInvariant(line))
+        line += 2;
+    const LineAddr neighbor = line ^ 1;
 
-    std::uint64_t version = 0;
-    auto churn = [&](std::uint64_t installs) {
-        for (std::uint64_t i = 0; i < installs; ++i)
-            l4.install(i % 4096, ++version, true, i, false);
-    };
+    // A single install sizes its own line and nothing else.
+    l4.install(line, 1, false, 0, true);
+    EXPECT_EQ(src.calls, 1u);
+    EXPECT_EQ(l4.pairInstalls(), 0u);
 
-    churn(2'000);
-    EXPECT_EQ(l4.sizeMemoCapacityBytes(), footprint);
-    churn(20'000);
-    EXPECT_EQ(l4.sizeMemoCapacityBytes(), footprint);
+    // The neighbor merges into a pair. The singles sum to 40 B, past
+    // the 24-B floor of the shared-base modes, so the joint pass runs
+    // and synthesizes the resident half: one call more than a single.
+    l4.install(neighbor, 2, false, 0, true);
+    EXPECT_EQ(src.calls, 3u);
+    EXPECT_EQ(l4.pairInstalls(), 1u);
+
+    // Reinstalled incompressible, the line goes TSI, and the scrub of
+    // its BAI copy splits the pair: the survivor is re-sized (one
+    // call) besides the line itself (one call). Nothing else is
+    // synthesized: the line's TSI set holds no neighbor.
+    l4.install(line, CountingSource::kRandVersion, false, 0, false);
+    EXPECT_EQ(src.calls, 5u);
+    EXPECT_EQ(l4.duplicateScrubs(), 1u);
+    EXPECT_EQ(l4.pairInstalls(), 1u);
+    EXPECT_TRUE(l4.contains(line));
+    EXPECT_TRUE(l4.contains(neighbor));
+    EXPECT_EQ(l4.validLines(), 2u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,20 +1,22 @@
 /**
  * @file
  * Tests of the hot-loop storage primitives: FlatMap (open-addressed
- * map with backward-shift erasure), BoundedMemo (fixed-footprint
- * generation-versioned memo), and SmallVector (inline-first writeback
- * buffer). The randomized FlatMap test cross-checks every operation
- * against std::unordered_map, with heavy erasure to exercise the
- * probe-chain repair paths.
+ * map with backward-shift erasure), the page-mapped allocator behind
+ * the set arrays and per-line maps, and SmallVector (inline-first
+ * writeback buffer). The randomized FlatMap test cross-checks every
+ * operation against std::unordered_map, with heavy erasure to exercise
+ * the probe-chain repair paths.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
 #include "common/flat_map.hpp"
+#include "common/page_alloc.hpp"
 #include "common/rng.hpp"
 #include "common/small_vector.hpp"
 
@@ -124,9 +126,11 @@ TEST(FlatMap, BackwardShiftEraseRepairsProbeChains)
     EXPECT_EQ(*m.find(1), 10u);
 }
 
-TEST(FlatMap, RandomizedAgainstUnorderedMap)
+/** Random inserts, erases and finds on @p flat against std::unordered_map. */
+template <typename Map>
+void
+expectMatchesUnorderedMap(Map &flat)
 {
-    FlatMap<std::uint64_t, std::uint64_t> flat;
     std::unordered_map<std::uint64_t, std::uint64_t> ref;
 
     std::uint64_t state = 12345;
@@ -166,64 +170,42 @@ TEST(FlatMap, RandomizedAgainstUnorderedMap)
     }
 }
 
-TEST(BoundedMemo, MemoizesAndStaysBounded)
+TEST(FlatMap, RandomizedAgainstUnorderedMap)
 {
-    using Memo = BoundedMemo<std::uint64_t, std::uint32_t>;
-    Memo memo(4); // 16 buckets
-    const std::size_t footprint = memo.capacityBytes();
-    EXPECT_EQ(memo.slotCount(), (std::size_t{1} << 4) * Memo::kWays);
-
-    memo.put(7, 70);
-    ASSERT_NE(memo.find(7), nullptr);
-    EXPECT_EQ(*memo.find(7), 70u);
-
-    // Push far more distinct keys than slots: the memo must keep
-    // serving lookups (possibly recomputing) at constant footprint.
-    for (std::uint64_t k = 0; k < 10'000; ++k)
-        memo.put(k, static_cast<std::uint32_t>(k));
-    EXPECT_EQ(memo.capacityBytes(), footprint);
-
-    // Whatever is found must be correct — collisions evict, never lie.
-    std::size_t hits = 0;
-    for (std::uint64_t k = 0; k < 10'000; ++k) {
-        if (const std::uint32_t *v = memo.find(k)) {
-            EXPECT_EQ(*v, static_cast<std::uint32_t>(k));
-            ++hits;
-        }
-    }
-    EXPECT_GT(hits, 0u);
-    EXPECT_LE(hits, memo.slotCount());
+    FlatMap<std::uint64_t, std::uint64_t> flat;
+    expectMatchesUnorderedMap(flat);
 }
 
-TEST(BoundedMemo, GenerationClearInvalidatesEverything)
+TEST(FlatMap, PageAllocatedRandomizedAgainstUnorderedMap)
 {
-    BoundedMemo<std::uint64_t, std::uint32_t> memo(4);
-    for (std::uint64_t k = 0; k < 32; ++k)
-        memo.put(k, 1);
-    memo.clear();
-    for (std::uint64_t k = 0; k < 32; ++k)
-        EXPECT_EQ(memo.find(k), nullptr) << k;
-    memo.put(3, 33);
-    ASSERT_NE(memo.find(3), nullptr);
-    EXPECT_EQ(*memo.find(3), 33u);
+    // The per-line maps' instantiation: each growth maps a new block
+    // and hands the old one to the idle pool.
+    FlatMap<std::uint64_t, std::uint64_t, Mix64Hash, PageAllocator> flat;
+    expectMatchesUnorderedMap(flat);
 }
 
-TEST(BoundedMemo, DeterministicReplacement)
+TEST(PageAlloc, BlockEndsAtAGuardPage)
 {
-    BoundedMemo<std::uint64_t, std::uint32_t> a(4);
-    BoundedMemo<std::uint64_t, std::uint32_t> b(4);
-    for (std::uint64_t k = 0; k < 5'000; ++k) {
-        a.put(k * 17, static_cast<std::uint32_t>(k));
-        b.put(k * 17, static_cast<std::uint32_t>(k));
-    }
-    for (std::uint64_t k = 0; k < 5'000; ++k) {
-        const std::uint32_t *va = a.find(k * 17);
-        const std::uint32_t *vb = b.find(k * 17);
-        ASSERT_EQ(va == nullptr, vb == nullptr) << k;
-        if (va) {
-            EXPECT_EQ(*va, *vb) << k;
-        }
-    }
+    constexpr std::size_t kBytes = 3 * 4096 + 24;
+    auto *p = static_cast<std::uint8_t *>(mapPages(kBytes));
+    std::fill(p, p + kBytes, std::uint8_t{0xA5}); // all of it is writable
+    EXPECT_DEATH(static_cast<volatile std::uint8_t *>(p)[kBytes] = 1, "");
+    unmapPages(p, kBytes);
+}
+
+TEST(PageAlloc, FreedBlockIsReusedBySameSizeOnly)
+{
+    constexpr std::size_t kBytes = 5 * 4096 + 8;
+    const std::size_t handed_out = pageBlocksHandedOut();
+    void *a = mapPages(kBytes);
+    unmapPages(a, kBytes);
+    void *b = mapPages(kBytes);
+    EXPECT_EQ(b, a); // taken back from the idle pool
+    void *c = mapPages(kBytes + 8);
+    EXPECT_NE(c, a);
+    EXPECT_EQ(pageBlocksHandedOut(), handed_out + 3);
+    unmapPages(b, kBytes);
+    unmapPages(c, kBytes + 8);
 }
 
 TEST(SmallVector, InlineThenSpill)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/indexing.hpp"
+#include "dram/dram.hpp"
 
 namespace dice
 {
@@ -103,15 +104,15 @@ TEST(Indexing, PairHelpers)
 
 TEST(Indexing, MapperPacks28TadsPerRow)
 {
-    DramCacheAddressMapper mapper(DramTiming::stackedL4());
-    EXPECT_EQ(mapper.tadsPerRow(), 28u); // 2048 / 72
+    DramAddressMapper mapper(DramTiming::stackedL4());
+    EXPECT_EQ(mapper.unitsPerRow(), 28u); // 2048 / 72
 }
 
 TEST(Indexing, CandidateSetsShareADramRow)
 {
     // The BAI/TSI alternate sets (s, s^1) must decode to the same
     // channel/bank/row so the second probe is a row-buffer hit.
-    DramCacheAddressMapper mapper(DramTiming::stackedL4());
+    DramAddressMapper mapper(DramTiming::stackedL4());
     for (std::uint64_t set = 0; set < 200000; set += 2) {
         const DramCoord a = mapper.coord(set);
         const DramCoord b = mapper.coord(set ^ 1);
@@ -123,10 +124,59 @@ TEST(Indexing, CandidateSetsShareADramRow)
 
 TEST(Indexing, MapperStripesRowGroupsAcrossChannels)
 {
-    DramCacheAddressMapper mapper(DramTiming::stackedL4());
+    DramAddressMapper mapper(DramTiming::stackedL4());
     const DramCoord a = mapper.coord(0);
     const DramCoord b = mapper.coord(28); // next row group
     EXPECT_NE(a.channel, b.channel);
+}
+
+/** The decode as it was written before it shared Reciprocal divides. */
+DramCoord
+dividedCoord(const DramTiming &t, std::uint32_t unit_bytes,
+             std::uint64_t unit)
+{
+    const std::uint64_t row_group = unit / (t.row_bytes / unit_bytes);
+    DramCoord c;
+    c.channel = static_cast<std::uint32_t>(row_group % t.channels);
+    c.bank = static_cast<std::uint32_t>((row_group / t.channels) %
+                                        t.banks_per_channel);
+    c.row = row_group /
+            (static_cast<std::uint64_t>(t.channels) * t.banks_per_channel);
+    return c;
+}
+
+void
+expectSameDecode(const DramTiming &t, std::uint32_t unit_bytes,
+                 std::uint64_t first, std::uint64_t last)
+{
+    const DramAddressMapper mapper(t, unit_bytes);
+    for (std::uint64_t u = first; u < last; ++u) {
+        const DramCoord got = mapper.coord(u);
+        const DramCoord want = dividedCoord(t, unit_bytes, u);
+        ASSERT_EQ(got.channel, want.channel) << u;
+        ASSERT_EQ(got.bank, want.bank) << u;
+        ASSERT_EQ(got.row, want.row) << u;
+    }
+}
+
+TEST(Indexing, MapperMatchesTheDividedDecode)
+{
+    // Every set of the 8-MiB L4 (2^17 TADs), at the stacked preset and
+    // at the doubled-channel timing of the 2x-bandwidth studies.
+    const std::uint64_t sets = 8_MiB / kLineSize;
+    expectSameDecode(DramTiming::stackedL4(), 72, 0, sets);
+    DramTiming wide = DramTiming::stackedL4();
+    wide.channels *= 2;
+    expectSameDecode(wide, 72, 0, sets);
+    // Main memory decodes 64-B lines: a sweep from 0, one across the
+    // 2^32 boundary where the decode switches to the hardware divide,
+    // and one far above it.
+    const DramTiming ddr = DramTiming::mainMemoryDdr();
+    expectSameDecode(ddr, kLineSize, 0, 1 << 20);
+    expectSameDecode(ddr, kLineSize, (1ull << 32) - 4096,
+                     (1ull << 32) + 4096);
+    expectSameDecode(wide, 72, (1ull << 37) - 4096, (1ull << 37) + 4096);
+    expectSameDecode(ddr, kLineSize, ~0ull - 4096, ~0ull);
 }
 
 TEST(Indexing, IndexSchemeNames)

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "cache/sram_cache.hpp"
+#include "common/rng.hpp"
+#include "ref_sram_cache.hpp"
 
 namespace dice
 {
@@ -166,6 +168,87 @@ TEST_P(SramCacheWays, FullSetEvictsExactlyInLruOrder)
 
 INSTANTIATE_TEST_SUITE_P(Ways, SramCacheWays,
                          ::testing::Values(1u, 2u, 4u, 8u, 16u));
+
+/** The plane layout against the array-of-ways model it replaced. */
+class SramCacheDifferential : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+void
+expectSameVictim(const std::optional<EvictedLine> &got,
+                 const std::optional<EvictedLine> &want, int step)
+{
+    ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+    if (got) {
+        EXPECT_EQ(got->line, want->line) << "step " << step;
+        EXPECT_EQ(got->dirty, want->dirty) << "step " << step;
+        EXPECT_EQ(got->payload, want->payload) << "step " << step;
+    }
+}
+
+TEST_P(SramCacheDifferential, RandomOpsMatchTheArrayOfWaysModel)
+{
+    const std::uint32_t ways = GetParam();
+    SramCacheConfig cfg;
+    cfg.name = "diff";
+    cfg.size_bytes = static_cast<std::uint64_t>(ways) * 16 * kLineSize;
+    cfg.ways = ways;
+    SramCache cache(cfg);
+    RefSramCache ref(cfg);
+    // Four lines per way of capacity keep every set under pressure; a
+    // high tag bit exercises the victim-address rebuild.
+    const std::uint64_t span = std::uint64_t{ways} * 16 * 4;
+    Rng rng(0x5A4Cull + ways);
+    for (int step = 0; step < 60000; ++step) {
+        const LineAddr line =
+            rng.below(span) | (rng.below(4) == 0 ? (1ull << 40) : 0);
+        const std::uint64_t payload = rng.next();
+        switch (rng.below(6)) {
+          case 0:
+            ASSERT_EQ(cache.access(line, AccessType::Read),
+                      ref.access(line, AccessType::Read))
+                << "step " << step;
+            break;
+          case 1:
+            ASSERT_EQ(cache.access(line, AccessType::Write, payload),
+                      ref.access(line, AccessType::Write, payload))
+                << "step " << step;
+            break;
+          case 2:
+          case 3: {
+            const bool dirty = rng.below(2) == 0;
+            expectSameVictim(cache.install(line, dirty, payload),
+                             ref.install(line, dirty, payload), step);
+            break;
+          }
+          case 4:
+            expectSameVictim(cache.invalidate(line),
+                             ref.invalidate(line), step);
+            break;
+          default:
+            ASSERT_EQ(cache.contains(line), ref.contains(line))
+                << "step " << step;
+            ASSERT_EQ(cache.payloadOf(line), ref.payloadOf(line))
+                << "step " << step;
+            break;
+        }
+        if (step % 512 == 0) {
+            ASSERT_EQ(cache.validLines(), ref.validLines())
+                << "step " << step;
+        }
+    }
+    EXPECT_EQ(cache.validLines(), ref.validLines());
+    EXPECT_EQ(cache.hits(), ref.hits());
+    EXPECT_EQ(cache.misses(), ref.misses());
+    EXPECT_EQ(cache.evictions(), ref.evictions());
+    EXPECT_EQ(cache.dirtyEvictions(), ref.dirtyEvictions());
+    EXPECT_EQ(cache.installs(), ref.installs());
+    EXPECT_GT(cache.evictions(), 0u);
+    EXPECT_GT(cache.dirtyEvictions(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, SramCacheDifferential,
+                         ::testing::Values(1u, 2u, 8u, 16u));
 
 } // namespace
 } // namespace dice

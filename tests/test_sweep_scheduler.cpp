@@ -188,6 +188,29 @@ TEST(SweepQueue, PublishedDocsAreDoneForLateAttachers)
     fs::remove_all(dir);
 }
 
+TEST(SweepQueue, FreshDoneCountSeesDocumentsInsideTheThrottleWindow)
+{
+    // A coordinator whose workers all publish and exit within one
+    // rescan window must not read a stale count: the throttled count
+    // may lag, the fresh one may not.
+    const fs::path dir = scratchDir("fresh");
+    const std::vector<QueueCell> cells = cellsAscendingCost(3);
+    SweepQueue q(dir, cells);
+    const auto scanned = std::chrono::steady_clock::now();
+    EXPECT_EQ(q.doneCount(), 0u); // the first scan
+    for (const QueueCell &c : cells)
+        std::ofstream(SweepQueue::docPath(dir, c.stem)) << "{}\n";
+    const std::size_t throttled = q.doneCount();
+    if (std::chrono::steady_clock::now() - scanned <
+        std::chrono::milliseconds(150)) {
+        EXPECT_EQ(throttled, 0u);
+    }
+    EXPECT_EQ(q.doneCount(/*fresh=*/true), cells.size());
+    EXPECT_TRUE(q.complete());
+    EXPECT_EQ(q.claimNext(), std::nullopt);
+    fs::remove_all(dir);
+}
+
 /**
  * Claim exclusivity fuzz, cross-process: two forked children race
  * over the same 32-cell batch; each drops an O_EXCL marker per cell
